@@ -40,17 +40,8 @@ TaskPool& SimWorkspace::task_pool() {
 
 namespace {
 
-/// Hands the workspace-pooled score pack to strategies that score through
-/// the flat kernels; runs immediately before Strategy::reset.
-void offer_score_pack(const AccuInstance& instance, Strategy& strategy,
-                      SimWorkspace& ws) {
-  if (strategy.wants_score_pack()) {
-    strategy.adopt_score_pack(ws.score_pack(instance));
-  }
-}
-
 /// Hands the workspace-pooled task pool to strategies with parallel inner
-/// loops; like the pack offer, valid only for the simulation that follows.
+/// loops; valid only for the simulation that follows.
 void offer_task_pool(Strategy& strategy, SimWorkspace& ws) {
   strategy.adopt_task_pool(&ws.task_pool());
 }
@@ -67,7 +58,6 @@ void simulate_into(const AccuInstance& instance, const Realization& truth,
   out.clear();
   out.trace.reserve(budget);
   view.arm_feedback(feedback);
-  offer_score_pack(instance, strategy, ws);
   offer_task_pool(strategy, ws);
   strategy.reset(instance, rng);
   engine::ReliableEnv env(instance, truth, strategy, budget, rng, view, ws,
@@ -87,7 +77,6 @@ void simulate_with_faults_into(const AccuInstance& instance,
   out.clear();
   out.trace.reserve(budget);
   view.arm_feedback(feedback);
-  offer_score_pack(instance, strategy, ws);
   offer_task_pool(strategy, ws);
   strategy.reset(instance, rng);
   engine::FaultyEnv env(instance, truth, strategy, budget, rng, faults, view,

@@ -72,11 +72,10 @@ class SimWorkspace {
   [[nodiscard]] const Realization& sample_truth(const AccuInstance& instance,
                                                 util::Rng& rng);
 
-  /// The flat SoA score pack for `instance`, built on first use and cached
-  /// by instance identity (AccuInstance::uid), so a sweep that re-runs the
-  /// same instance across cells shares one pack allocation-free.  The
-  /// engine entry points offer it to strategies via
-  /// Strategy::adopt_score_pack.
+  /// A flat SoA score pack for `instance` owned by this workspace, built on
+  /// first use and cached by AccuInstance::uid.  Strategies do not use it:
+  /// they share the instance plan's pack (core/instance_plan.hpp).  It
+  /// serves callers that want a private pack, such as a build-time probe.
   [[nodiscard]] const ScorePack& score_pack(const AccuInstance& instance);
 
   /// Configures the width of the intra-cell task pool offered to strategies

@@ -3,6 +3,8 @@
 #include <atomic>
 #include <string>
 
+#include "core/instance_plan.hpp"
+
 namespace accu {
 
 std::uint64_t AccuInstance::next_uid() noexcept {
@@ -20,7 +22,8 @@ AccuInstance::AccuInstance(Graph graph, std::vector<UserClass> classes,
       threshold_(std::move(threshold)),
       benefits_(std::move(benefits)),
       cautious_below_(graph_.num_nodes(), 0.0),
-      cautious_above_(graph_.num_nodes(), 1.0) {
+      cautious_above_(graph_.num_nodes(), 1.0),
+      plan_(std::make_shared<const InstancePlan>(uid_)) {
   validate();
 }
 
@@ -35,7 +38,8 @@ AccuInstance::AccuInstance(Graph graph, std::vector<UserClass> classes,
       threshold_(std::move(threshold)),
       benefits_(std::move(benefits)),
       cautious_below_(std::move(cautious_params.below)),
-      cautious_above_(std::move(cautious_params.above)) {
+      cautious_above_(std::move(cautious_params.above)),
+      plan_(std::make_shared<const InstancePlan>(uid_)) {
   const NodeId n = graph_.num_nodes();
   if (cautious_below_.size() != n || cautious_above_.size() != n) {
     throw InvalidArgument(

@@ -23,6 +23,8 @@
 
 namespace accu {
 
+class InstancePlan;  // core/instance_plan.hpp
+
 /// Pre-laid-out ScorePack slot tables carried alongside an instance loaded
 /// from the binary format (core/instance_format.hpp).  The pointers alias
 /// the file mapping kept alive by `owner`; ScorePack::build adopts them by
@@ -126,9 +128,16 @@ class AccuInstance {
 
   /// Process-unique identity of this instance's *contents*: assigned from a
   /// global counter at construction and carried along by copies/moves (which
-  /// preserve the contents).  Lets caches keyed on an instance (the score
-  /// pack in SimWorkspace) detect address reuse without hashing the data.
+  /// preserve the contents).  Lets caches keyed on an instance (the plan, the
+  /// score pack in SimWorkspace) tell instances apart without hashing the
+  /// data.
   [[nodiscard]] std::uint64_t uid() const noexcept { return uid_; }
+
+  /// The per-instance plan (core/instance_plan.hpp): static baseline
+  /// orders, score pack, ABM's blank-state tables and the realization draw
+  /// plan, each built lazily on first use and shared by every copy of this
+  /// instance.  Undefined on a moved-from instance.
+  [[nodiscard]] const InstancePlan& plan() const noexcept { return *plan_; }
 
   // --- pre-laid-out score tables (binary instance format) -----------------
 
@@ -162,6 +171,8 @@ class AccuInstance {
   bool generalized_ = false;
   std::shared_ptr<const PackTables> pack_tables_;
   std::uint64_t uid_ = next_uid();
+  // Created empty by the constructors (no part is built there).
+  std::shared_ptr<const InstancePlan> plan_;
 };
 
 }  // namespace accu

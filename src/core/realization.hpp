@@ -30,6 +30,32 @@
 
 namespace accu {
 
+/// The draw schedule of one instance: which events the reference sampling
+/// loop draws (vs decides deterministically), their thresholds in draw
+/// order, and how the drawn bits scatter into a realization's four bit
+/// vectors.  Depends on the instance alone, so it is built once per
+/// instance by its InstancePlan (core/instance_plan.hpp) and shared
+/// read-only by every Realization::resample.
+struct DrawPlan {
+  /// A maximal stretch of consecutive draws landing on consecutive bits of
+  /// one destination array (most instances need only two: all edges, then
+  /// all acceptance coins).
+  struct Run {
+    std::size_t draw_begin;  // first draw index of the stretch
+    std::size_t count;       // number of draws
+    std::size_t dest_begin;  // first destination bit
+    std::uint8_t array;      // 0 edges, 1 accepts, 2 below, 3 above
+  };
+
+  std::size_t num_draws = 0;
+  std::vector<std::uint64_t> thresholds;  // per draw, in draw order
+  std::vector<Run> runs;
+  // Per-array template words: deterministic outcomes set, drawn bits 0.
+  std::vector<std::uint64_t> tmpl[4];
+
+  void build(const AccuInstance& instance);
+};
+
 class Realization {
  public:
   /// Samples a realization from the instance's probabilities.
@@ -38,10 +64,11 @@ class Realization {
   /// Re-samples in place, reusing the coin/edge storage (the workspace
   /// path) — draw-for-draw identical to `sample`.
   ///
-  /// This is the batched fast path: a cached per-instance *draw plan*
-  /// (rebuilt when the instance uid changes, allocation-free once the
-  /// pooled buffers have grown) lists every Bernoulli draw the reference
-  /// loop would make, in order, as an integer threshold
+  /// This is the batched fast path: the instance's *draw plan* (DrawPlan,
+  /// built once per instance by its InstancePlan; the pooled buffers here
+  /// make a resample allocation-free once they have grown) lists every
+  /// Bernoulli draw the reference loop would make, in order, as an integer
+  /// threshold
   /// (util::Rng::bernoulli_threshold); resampling bulk-fills the raw
   /// xoshiro outputs (Rng::fill_raw — same stream, same end state), packs
   /// the compares 64 per word through the active SIMD kernel
@@ -132,32 +159,7 @@ class Realization {
   /// Shape-less; only `sample` uses it (resample fills every vector).
   Realization() = default;
 
-  /// The cached draw schedule of one instance: which events the reference
-  /// loop draws (vs decides deterministically), their thresholds in draw
-  /// order, and how the drawn bits scatter into the four bit vectors.
-  struct DrawPlan {
-    /// A maximal stretch of consecutive draws landing on consecutive bits
-    /// of one destination array (most instances need only two: all edges,
-    /// then all acceptance coins).
-    struct Run {
-      std::size_t draw_begin;   // first draw index of the stretch
-      std::size_t count;        // number of draws
-      std::size_t dest_begin;   // first destination bit
-      std::uint8_t array;       // 0 edges, 1 accepts, 2 below, 3 above
-    };
-
-    std::uint64_t uid = 0;  // AccuInstance::uid the plan was built for
-    std::size_t num_draws = 0;
-    std::vector<std::uint64_t> thresholds;  // per draw, in draw order
-    std::vector<Run> runs;
-    // Per-array template words: deterministic outcomes set, drawn bits 0.
-    std::vector<std::uint64_t> tmpl_[4];
-
-    void build(const AccuInstance& instance);
-  };
-
-  DrawPlan plan_;
-  std::vector<std::uint64_t> raw_;     // pooled raw xoshiro outputs
+  std::vector<std::uint64_t> raw_;     // pooled raw xoshiro outputs (one block)
   std::vector<std::uint64_t> packed_;  // pooled packed compare bits
 
   util::BitVec edge_present_;    // per EdgeId

@@ -21,7 +21,6 @@ void ScorePack::build(const AccuInstance& instance) {
   if (slots >= kNoSlot) {
     throw InvalidArgument("ScorePack: instance too large for 32-bit slots");
   }
-  instance_ = &instance;
   uid_ = instance.uid();
   num_nodes_ = n;
 
@@ -120,6 +119,64 @@ void ScorePack::build(const AccuInstance& instance) {
       ++s;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Blank-state tables
+// ---------------------------------------------------------------------------
+
+void BlankTables::build(const ScorePack& pack) {
+  const NodeId n = pack.num_nodes();
+  const double* d_init = pack.d_init_all().data();
+  const std::span<const double> i_gain = pack.i_gain_all();
+  const std::span<const std::uint32_t> theta = pack.slot_theta_all();
+  const simd::ScoreKernels& kernels = simd::kernels();
+  direct_sum.resize(n);
+  indirect_sum.assign(n, 0.0);
+  indirect_slots.clear();
+  indirect_values.clear();
+  std::vector<double> row;  // one row of the blank P_I contributions
+  for (NodeId u = 0; u < n; ++u) {
+    const std::uint32_t s0 = pack.row_begin(u);
+    const std::uint32_t s1 = pack.row_begin(u + 1);
+    direct_sum[u] = kernels.row_sum(d_init, s0, s1);
+    const std::size_t first = indirect_slots.size();
+    for (std::uint32_t s = s0; s < s1; ++s) {
+      if (i_gain[s] == 0.0) continue;
+      // Blank state: mutual = 0, denominator = θ_v.  Reciprocal form
+      // (numerator · 1/gap) — the canonical P_I operation order shared
+      // with score_batch and the scalar reference.
+      indirect_slots.push_back(s);
+      indirect_values.push_back(i_gain[s] *
+                                (1.0 / static_cast<double>(theta[s])));
+    }
+    // A row without non-zero terms sums to exactly +0.0, as assigned.  The
+    // canonical lanes run over slot positions relative to s0, so summing a
+    // zero-filled copy of the row reproduces the engine's row sum.
+    if (indirect_slots.size() == first) continue;
+    row.assign(s1 - s0, 0.0);
+    for (std::size_t k = first; k < indirect_slots.size(); ++k) {
+      row[indirect_slots[k] - s0] = indirect_values[k];
+    }
+    indirect_sum[u] =
+        kernels.row_sum(row.data(), 0, static_cast<std::uint32_t>(row.size()));
+  }
+}
+
+double BlankTables::score(const ScorePack& pack, NodeId u,
+                          const PotentialWeights& weights) const {
+  // ScoreEngine::score with mutual = 0 and no FOF: a cautious u sits below
+  // its threshold (θ >= 1 by the instance's validation), so q = q1.
+  const bool cautious = pack.is_cautious(u);
+  const double q = cautious ? pack.q_below(u) : pack.q_reckless(u);
+  if (q <= 0.0) return 0.0;
+  double direct = pack.friend_benefit(u);
+  direct += direct_sum[u];
+  double value = weights.direct * direct;
+  if (weights.indirect > 0.0 && !cautious) {
+    value += weights.indirect * indirect_sum[u];
+  }
+  return q * value;
 }
 
 // ---------------------------------------------------------------------------
@@ -258,25 +315,22 @@ void score_batch_all(const ScorePack& pack, const AttackerView& view,
 // Incremental engine
 // ---------------------------------------------------------------------------
 
-void ScoreEngine::reset(const ScorePack& pack,
+void ScoreEngine::reset(const ScorePack& pack, const BlankTables& blank,
                         const PotentialWeights& weights) {
+  ACCU_ASSERT(blank.direct_sum.size() == pack.num_nodes());
   pack_ = &pack;
+  blank_ = &blank;
   weights_ = weights;
   maintain_indirect_ = weights.indirect > 0.0;
+  pristine_ = true;
 
   const std::span<const double> d_init = pack.d_init_all();
   contrib_d_.assign(d_init.begin(), d_init.end());
   if (maintain_indirect_) {
-    const std::span<const double> i_gain = pack.i_gain_all();
-    const std::span<const std::uint32_t> theta = pack.slot_theta_all();
-    contrib_i_.resize(i_gain.size());
-    for (std::size_t s = 0; s < i_gain.size(); ++s) {
-      // Blank state: mutual = 0, denominator = θ_v.  Reciprocal form
-      // (numerator · 1/gap) — the canonical P_I operation order shared
-      // with score_batch and the scalar reference.
-      contrib_i_[s] = i_gain[s] == 0.0
-                          ? 0.0
-                          : i_gain[s] * (1.0 / static_cast<double>(theta[s]));
+    // Blank P_I terms are zero except on the tables' sparse slot list.
+    contrib_i_.assign(pack.num_slots(), 0.0);
+    for (std::size_t k = 0; k < blank.indirect_slots.size(); ++k) {
+      contrib_i_[blank.indirect_slots[k]] = blank.indirect_values[k];
     }
   } else {
     contrib_i_.clear();
@@ -326,6 +380,7 @@ void ScoreEngine::add_eager(NodeId u) {
 void ScoreEngine::apply_acceptance(
     NodeId target, const AttackerView::AcceptanceEffects& effects) {
   const ScorePack& pack = *pack_;
+  pristine_ = false;
   ++eager_round_;
   eager_.clear();
   requested_[target] = 1;
@@ -395,6 +450,7 @@ void ScoreEngine::apply_acceptance(
 void ScoreEngine::apply_revelation(
     const AttackerView::AcceptanceEffects& effects) {
   const ScorePack& pack = *pack_;
+  pristine_ = false;
   ++eager_round_;
   eager_.clear();
 
@@ -442,6 +498,7 @@ void ScoreEngine::apply_revelation(
 
 void ScoreEngine::apply_rejection(NodeId target) {
   const ScorePack& pack = *pack_;
+  pristine_ = false;
   ++eager_round_;
   eager_.clear();
   requested_[target] = 1;

@@ -11,8 +11,14 @@
 //    out alongside the CSR adjacency (neighbor id, mirror slot, the
 //    slot-constant direct/indirect term numerators), per-node benefit /
 //    acceptance columns, cautious flags as a bitset, thresholds as flat
-//    uint32.  Built once per AccuInstance (identity-checked via
-//    AccuInstance::uid) and pooled in SimWorkspace.
+//    uint32.  Built once per AccuInstance by its InstancePlan
+//    (core/instance_plan.hpp) and shared read-only by every worker;
+//    identity is AccuInstance::uid alone, so copies of an instance share it.
+//
+//  * BlankTables — ABM's blank-state tables over a pack: each node's
+//    canonical P_D / P_I row sums before any request, and the sparse list
+//    of slots whose blank P_I term is non-zero.  Also built once per
+//    instance by the plan.
 //
 //  * score_batch — the stateless batched rescore: scores a span of
 //    candidate ids against an AttackerView in one pass, reading only the
@@ -69,15 +75,10 @@ class ScorePack {
   /// grown to the largest instance seen.
   void build(const AccuInstance& instance);
 
-  /// Whether this pack currently describes `instance` (same object, same
-  /// construction — AccuInstance::uid guards against address reuse).
+  /// Whether this pack currently describes `instance`: the same uid, i.e.
+  /// the same construction or a copy of it (copies keep the contents).
   [[nodiscard]] bool built_for(const AccuInstance& instance) const noexcept {
-    return instance_ == &instance && uid_ == instance.uid();
-  }
-  [[nodiscard]] bool empty() const noexcept { return instance_ == nullptr; }
-  [[nodiscard]] const AccuInstance& instance() const {
-    ACCU_ASSERT(instance_ != nullptr);
-    return *instance_;
+    return uid_ != 0 && uid_ == instance.uid();
   }
 
   [[nodiscard]] NodeId num_nodes() const noexcept { return num_nodes_; }
@@ -145,8 +146,7 @@ class ScorePack {
   }
 
  private:
-  const AccuInstance* instance_ = nullptr;
-  std::uint64_t uid_ = 0;
+  std::uint64_t uid_ = 0;  // AccuInstance::uid of the build; 0 = never built
   NodeId num_nodes_ = 0;
 
   std::vector<std::uint32_t> row_begin_;  // size n+1; CSR offsets as u32
@@ -160,6 +160,34 @@ class ScorePack {
   std::vector<double> d_init_, i_gain_;   // size 2E
   std::vector<std::uint32_t> slot_theta_; // size 2E
   std::vector<std::uint32_t> edge_slot_;  // size E; build scratch
+};
+
+/// ABM's blank-state tables: what the incremental ScoreEngine holds right
+/// after reset, before any event.  Immutable after build(); built once per
+/// instance by InstancePlan and shared by every worker.
+///
+///  * `direct_sum[u]` / `indirect_sum[u]` are u's canonical row sums
+///    (score_simd.hpp) of the blank contribution arrays, so a blank score
+///    is O(1) per node instead of O(deg) — seed_score() uses them to seed
+///    ABM's heap (Golovin & Krause's accelerated adaptive greedy).
+///  * `indirect_slots` / `indirect_values` list, in slot order, the only
+///    slots whose blank P_I term is non-zero (slots pointing at cautious
+///    users), so ScoreEngine::reset scatters them into a zeroed array
+///    instead of dividing per slot.  Sparse on purpose: no O(slots) copy
+///    is kept.
+struct BlankTables {
+  std::vector<double> direct_sum;
+  std::vector<double> indirect_sum;
+  std::vector<std::uint32_t> indirect_slots;
+  std::vector<double> indirect_values;
+
+  void build(const ScorePack& pack);
+
+  /// P(u|ω) of un-requested u in the blank state, bit-identical to
+  /// ScoreEngine::score(u) right after reset (same operations, with the
+  /// row sums read from the tables).
+  [[nodiscard]] double score(const ScorePack& pack, NodeId u,
+                             const PotentialWeights& weights) const;
 };
 
 /// Reusable per-node tables for the batched rescore.  Pool this in the
@@ -234,12 +262,22 @@ void score_batch_all(const ScorePack& pack, const AttackerView& view,
 class ScoreEngine {
  public:
   /// Arms the engine for a fresh simulation over `pack`'s instance (no
-  /// requests sent).  `pack` must outlive the engine's use; capacity reuses.
-  void reset(const ScorePack& pack, const PotentialWeights& weights);
+  /// requests sent).  `blank` must be the blank-state tables of `pack`;
+  /// both must outlive the engine's use.  Capacity reuses.
+  void reset(const ScorePack& pack, const BlankTables& blank,
+             const PotentialWeights& weights);
 
   /// P(u|ω) for un-requested u under the engine's current event state;
   /// bit-exact vs the scalar reference on the matching view.
   [[nodiscard]] double score(NodeId u) const;
+
+  /// Whether no event has reached the engine since reset().
+  [[nodiscard]] bool pristine() const noexcept { return pristine_; }
+
+  /// score(u), read from the blank-state tables in O(1) while pristine().
+  [[nodiscard]] double seed_score(NodeId u) const {
+    return pristine_ ? blank_->score(*pack_, u, weights_) : score(u);
+  }
 
   [[nodiscard]] bool is_requested(NodeId u) const {
     return requested_[u] != 0;
@@ -290,8 +328,10 @@ class ScoreEngine {
   }
 
   const ScorePack* pack_ = nullptr;
+  const BlankTables* blank_ = nullptr;
   PotentialWeights weights_{};
   bool maintain_indirect_ = false;
+  bool pristine_ = false;
 
   // Per-slot live term values: exactly the scalar term while active, 0.0
   // once deactivated.

@@ -142,12 +142,11 @@ class Strategy {
   /// "not fault-aware": every faulted request is abandoned.
   [[nodiscard]] virtual FaultObserver* as_fault_observer() { return nullptr; }
 
-  /// Score-pack pooling (core/score.hpp).  A strategy that scores through
-  /// the flat SoA kernels returns true here; the engine entry points then
-  /// offer the workspace-pooled pack for the upcoming instance via
-  /// adopt_score_pack immediately before reset(), saving a per-simulation
-  /// rebuild.  An adopted pack is valid only for the simulation whose
-  /// reset() follows; strategies without an offer build their own.
+  /// Retired score-pack hooks.  Strategies that score through the flat SoA
+  /// kernels take the shared pack from AccuInstance::plan(), and the engine
+  /// never calls these.  They remain declared as no-ops only so existing
+  /// forwarding decorators that override them keep compiling; they go once
+  /// the per-cell hooks fold into reset().
   [[nodiscard]] virtual bool wants_score_pack() const { return false; }
   virtual void adopt_score_pack(const ScorePack& pack) { (void)pack; }
 

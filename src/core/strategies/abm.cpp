@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "core/instance_plan.hpp"
+
 namespace accu {
 
 AbmStrategy::AbmStrategy() : AbmStrategy(Config{}) {}
@@ -97,29 +99,13 @@ double AbmStrategy::potential(const AttackerView& view, NodeId u) const {
   return q * value;
 }
 
-void AbmStrategy::adopt_score_pack(const ScorePack& pack) {
-  adopted_pack_ = &pack;
-  adopt_fresh_ = true;
-}
-
 void AbmStrategy::reset(const AccuInstance& instance, util::Rng& rng) {
   (void)rng;
   instance_ = &instance;
   if (!config_.incremental) return;
-  // Use the workspace's pooled pack only when it was handed over for *this*
-  // simulation (a stale pointer from an earlier workspace may dangle).
-  const ScorePack* pack = nullptr;
-  if (adopt_fresh_ && adopted_pack_ != nullptr &&
-      adopted_pack_->built_for(instance)) {
-    pack = adopted_pack_;
-  }
-  adopt_fresh_ = false;
-  adopted_pack_ = pack;
-  if (pack == nullptr) {
-    if (!own_pack_.built_for(instance)) own_pack_.build(instance);
-    pack = &own_pack_;
-  }
-  engine_.reset(*pack, config_.weights);
+  const InstancePlan& plan = instance.plan();
+  engine_.reset(plan.score_pack(instance), plan.blank_tables(instance),
+                config_.weights);
   version_.assign(instance.num_nodes(), 0);
   heap_.clear();  // keeps capacity for the next seed_heap
   heap_seeded_ = false;
@@ -131,7 +117,7 @@ void AbmStrategy::seed_heap() {
   for (NodeId u = 0; u < instance_->num_nodes(); ++u) {
     if (engine_.is_requested(u)) continue;  // pre-seed abandons (fault layer)
     engine_.consume_dirty(u);
-    heap_.push_back(HeapEntry{engine_.score(u), u, version_[u]});
+    heap_.push_back(HeapEntry{engine_.seed_score(u), u, version_[u]});
   }
   // make_heap instead of n push_heaps: pop order is unaffected (the
   // comparator is a strict total order — (value, node) pairs are unique).

@@ -27,7 +27,8 @@
 //
 // Complexity.  A naive implementation recomputes all n potentials (O(Σdeg))
 // every round.  ABM instead keeps a versioned max-heap of cached potentials
-// over the incremental ScoreEngine (core/score.hpp): acceptance effects
+// over the incremental ScoreEngine (core/score.hpp), seeded in O(n) from
+// the instance plan's blank-state tables: acceptance effects
 // apply O(1) deltas per affected CSR slot, nodes whose potential may have
 // *increased* are re-scored eagerly, and everything else carries a dirty
 // bit and is re-summed lazily only if it surfaces at the heap top.  Stale
@@ -70,10 +71,6 @@ class AbmStrategy final : public Strategy {
   void observe_revelation(NodeId source, const AttackerView& view,
                           const AttackerView::AcceptanceEffects& effects)
       override;
-  [[nodiscard]] bool wants_score_pack() const override {
-    return config_.incremental;
-  }
-  void adopt_score_pack(const ScorePack& pack) override;
   [[nodiscard]] std::string name() const override;
 
   /// Current size of the selection heap, stale entries included (exposed
@@ -116,7 +113,8 @@ class AbmStrategy final : public Strategy {
 
   /// Scores every un-requested node from the engine state and heapifies —
   /// deferred from reset() to the first select() so a strategy that is
-  /// reset but never run pays nothing.
+  /// reset but never run pays nothing.  While no event has reached the
+  /// engine, each score is one lookup in the plan's blank-state tables.
   void seed_heap();
 
   void heap_push(HeapEntry entry);
@@ -136,14 +134,9 @@ class AbmStrategy final : public Strategy {
   // identical to std::priority_queue) so reset() can keep its capacity.
   std::vector<HeapEntry> heap_;
   bool heap_seeded_ = false;
-  // Incremental scoring state (config_.incremental only).  `own_pack_` is
-  // the fallback when no workspace pack was adopted for this simulation;
-  // `adopted_pack_` is only dereferenced when `adopt_fresh_` says the
-  // pointer was handed over for the simulation being reset right now.
+  // Incremental scoring state (config_.incremental only), over the
+  // instance plan's shared pack and blank-state tables.
   ScoreEngine engine_;
-  ScorePack own_pack_;
-  const ScorePack* adopted_pack_ = nullptr;
-  bool adopt_fresh_ = false;
 };
 
 /// The classic adaptive greedy of earlier adaptive-crawling papers

@@ -1,9 +1,8 @@
 #include "core/strategies/baselines.hpp"
 
-#include <algorithm>
 #include <numeric>
 
-#include "graph/pagerank.hpp"
+#include "core/instance_plan.hpp"
 
 namespace accu {
 
@@ -24,36 +23,29 @@ NodeId RandomStrategy::select(const AttackerView& view, util::Rng& rng) {
 
 void StaticOrderStrategy::reset(const AccuInstance& instance,
                                 util::Rng& rng) {
-  (void)rng;
-  const std::vector<double> score = scores(instance);
-  ACCU_ASSERT(score.size() == instance.num_nodes());
-  order_.resize(instance.num_nodes());
-  std::iota(order_.begin(), order_.end(), NodeId{0});
-  std::stable_sort(order_.begin(), order_.end(),
-                   [&](NodeId a, NodeId b) { return score[a] > score[b]; });
+  (void)rng;  // static orders draw nothing
+  order_ = &order(instance);
   cursor_ = 0;
 }
 
 NodeId StaticOrderStrategy::select(const AttackerView& view, util::Rng& rng) {
   (void)rng;
-  while (cursor_ < order_.size() && view.is_requested(order_[cursor_])) {
+  if (order_ == nullptr) return kInvalidNode;  // never reset: nothing to walk
+  const std::vector<NodeId>& order = *order_;
+  while (cursor_ < order.size() && view.is_requested(order[cursor_])) {
     ++cursor_;
   }
-  return cursor_ < order_.size() ? order_[cursor_++] : kInvalidNode;
+  return cursor_ < order.size() ? order[cursor_++] : kInvalidNode;
 }
 
-std::vector<double> MaxDegreeStrategy::scores(
+const std::vector<NodeId>& MaxDegreeStrategy::order(
     const AccuInstance& instance) const {
-  std::vector<double> score(instance.num_nodes());
-  for (NodeId v = 0; v < instance.num_nodes(); ++v) {
-    score[v] = instance.graph().expected_degree(v);
-  }
-  return score;
+  return instance.plan().max_degree_order(instance);
 }
 
-std::vector<double> PageRankStrategy::scores(
+const std::vector<NodeId>& PageRankStrategy::order(
     const AccuInstance& instance) const {
-  return graph::pagerank(instance.graph());
+  return instance.plan().pagerank_order(instance);
 }
 
 }  // namespace accu

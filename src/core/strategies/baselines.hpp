@@ -9,7 +9,10 @@
 //     over many runs; the experiment harness does the same).
 //
 // MaxDegree and PageRank are static orders: their information never changes
-// with observations, which is exactly why ABM beats them in the paper.
+// with observations, which is exactly why ABM beats them in the paper.  The
+// orders depend on the instance alone, so its InstancePlan
+// (core/instance_plan.hpp) builds each once; a simulation only walks a
+// cursor over the shared order.
 
 #pragma once
 
@@ -39,12 +42,13 @@ class StaticOrderStrategy : public Strategy {
   NodeId select(const AttackerView& view, util::Rng& rng) final;
 
  protected:
-  /// Per-node score; higher is requested earlier.  Ties break by node id.
-  [[nodiscard]] virtual std::vector<double> scores(
+  /// The instance's request order (decreasing score, ties by node id),
+  /// owned by its plan and valid while the instance or a copy lives.
+  [[nodiscard]] virtual const std::vector<NodeId>& order(
       const AccuInstance& instance) const = 0;
 
  private:
-  std::vector<NodeId> order_;
+  const std::vector<NodeId>* order_ = nullptr;
   std::size_t cursor_ = 0;
 };
 
@@ -53,7 +57,7 @@ class MaxDegreeStrategy final : public StaticOrderStrategy {
   [[nodiscard]] std::string name() const override { return "MaxDegree"; }
 
  protected:
-  [[nodiscard]] std::vector<double> scores(
+  [[nodiscard]] const std::vector<NodeId>& order(
       const AccuInstance& instance) const override;
 };
 
@@ -62,7 +66,7 @@ class PageRankStrategy final : public StaticOrderStrategy {
   [[nodiscard]] std::string name() const override { return "PageRank"; }
 
  protected:
-  [[nodiscard]] std::vector<double> scores(
+  [[nodiscard]] const std::vector<NodeId>& order(
       const AccuInstance& instance) const override;
 };
 

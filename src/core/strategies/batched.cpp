@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "core/instance_plan.hpp"
 #include "core/strategies/abm.hpp"
 
 namespace accu {
@@ -25,11 +26,6 @@ std::string BatchedAbmStrategy::name() const {
   return buf;
 }
 
-void BatchedAbmStrategy::adopt_score_pack(const ScorePack& pack) {
-  adopted_pack_ = &pack;
-  adopt_fresh_ = true;
-}
-
 void BatchedAbmStrategy::adopt_task_pool(TaskPool* pool) {
   task_pool_ = pool;
   pool_fresh_ = true;
@@ -40,20 +36,14 @@ void BatchedAbmStrategy::reset(const AccuInstance& instance, util::Rng&) {
   batch_.clear();
   cursor_ = 0;
   rounds_ = 0;
-  if (!adopt_fresh_ || adopted_pack_ == nullptr ||
-      !adopted_pack_->built_for(instance)) {
-    adopted_pack_ = nullptr;  // stale handover — never dereference it
-  }
-  adopt_fresh_ = false;
-  if (!pool_fresh_) task_pool_ = nullptr;  // same staleness rule as the pack
+  // A pool handed over for an earlier simulation may be gone.
+  if (!pool_fresh_) task_pool_ = nullptr;
   pool_fresh_ = false;
 }
 
-const ScorePack* BatchedAbmStrategy::current_pack() {
+const ScorePack* BatchedAbmStrategy::current_pack() const {
   if (!flat_scoring_) return nullptr;
-  if (adopted_pack_ != nullptr) return adopted_pack_;
-  if (!own_pack_.built_for(*instance_)) own_pack_.build(*instance_);
-  return &own_pack_;
+  return &instance_->plan().score_pack(*instance_);
 }
 
 void BatchedAbmStrategy::fill_batch(const AttackerView& view) {

@@ -35,10 +35,6 @@ class BatchedAbmStrategy final : public Strategy {
 
   void reset(const AccuInstance& instance, util::Rng& rng) override;
   NodeId select(const AttackerView& view, util::Rng& rng) override;
-  [[nodiscard]] bool wants_score_pack() const override {
-    return flat_scoring_;
-  }
-  void adopt_score_pack(const ScorePack& pack) override;
   void adopt_task_pool(TaskPool* pool) override;
   [[nodiscard]] std::string name() const override;
 
@@ -53,9 +49,8 @@ class BatchedAbmStrategy final : public Strategy {
   /// the top `batch_size_` of them.
   void fill_batch(const AttackerView& view);
 
-  /// The SoA pack for the current instance (adopted from the workspace or
-  /// built locally); nullptr when flat scoring is off.
-  [[nodiscard]] const ScorePack* current_pack();
+  /// The instance plan's SoA pack; nullptr when flat scoring is off.
+  [[nodiscard]] const ScorePack* current_pack() const;
 
   PotentialWeights weights_;
   std::uint32_t batch_size_;
@@ -68,9 +63,6 @@ class BatchedAbmStrategy final : public Strategy {
   std::vector<std::pair<double, NodeId>> scored_;
   std::vector<double> scores_;
   ScoreBatchScratch batch_scratch_;
-  ScorePack own_pack_;
-  const ScorePack* adopted_pack_ = nullptr;
-  bool adopt_fresh_ = false;
   // The engine-offered intra-cell pool; rescore chunks fan across it.
   // Chunking never changes a value, so decisions are pool-width-invariant.
   TaskPool* task_pool_ = nullptr;

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "core/instance_plan.hpp"
 #include "core/strategies/abm.hpp"
 #include "core/task_pool.hpp"
 
@@ -28,11 +29,6 @@ std::string LookaheadStrategy::name() const {
   return buf;
 }
 
-void LookaheadStrategy::adopt_score_pack(const ScorePack& pack) {
-  adopted_pack_ = &pack;
-  adopt_fresh_ = true;
-}
-
 void LookaheadStrategy::adopt_task_pool(TaskPool* pool) {
   task_pool_ = pool;
   pool_fresh_ = true;
@@ -40,20 +36,14 @@ void LookaheadStrategy::adopt_task_pool(TaskPool* pool) {
 
 void LookaheadStrategy::reset(const AccuInstance& instance, util::Rng&) {
   instance_ = &instance;
-  if (!adopt_fresh_ || adopted_pack_ == nullptr ||
-      !adopted_pack_->built_for(instance)) {
-    adopted_pack_ = nullptr;  // stale handover — never dereference it
-  }
-  adopt_fresh_ = false;
-  if (!pool_fresh_) task_pool_ = nullptr;  // same staleness rule as the pack
+  // A pool handed over for an earlier simulation may be gone.
+  if (!pool_fresh_) task_pool_ = nullptr;
   pool_fresh_ = false;
 }
 
-const ScorePack* LookaheadStrategy::current_pack() {
+const ScorePack* LookaheadStrategy::current_pack() const {
   if (!config_.flat_scoring) return nullptr;
-  if (adopted_pack_ != nullptr) return adopted_pack_;
-  if (!own_pack_.built_for(*instance_)) own_pack_.build(*instance_);
-  return &own_pack_;
+  return &instance_->plan().score_pack(*instance_);
 }
 
 double LookaheadStrategy::step_score(const AttackerView& view,

@@ -50,10 +50,6 @@ class LookaheadStrategy final : public Strategy {
 
   void reset(const AccuInstance& instance, util::Rng& rng) override;
   NodeId select(const AttackerView& view, util::Rng& rng) override;
-  [[nodiscard]] bool wants_score_pack() const override {
-    return config_.flat_scoring;
-  }
-  void adopt_score_pack(const ScorePack& pack) override;
   void adopt_task_pool(TaskPool* pool) override;
   [[nodiscard]] std::string name() const override;
 
@@ -89,9 +85,8 @@ class LookaheadStrategy final : public Strategy {
                                           const std::uint8_t* draws,
                                           BranchScratch& s) const;
 
-  /// The SoA pack for the current instance (adopted from the workspace or
-  /// built locally); nullptr when flat scoring is off.
-  [[nodiscard]] const ScorePack* current_pack();
+  /// The instance plan's SoA pack; nullptr when flat scoring is off.
+  [[nodiscard]] const ScorePack* current_pack() const;
 
   Config config_;
   const AccuInstance* instance_ = nullptr;
@@ -103,9 +98,6 @@ class LookaheadStrategy final : public Strategy {
   std::vector<double> values_;                 // per-candidate results
   std::vector<std::uint8_t> draws_;            // pre-drawn scenario coins
   std::vector<std::size_t> draw_offsets_;      // per-candidate draw spans
-  ScorePack own_pack_;
-  const ScorePack* adopted_pack_ = nullptr;
-  bool adopt_fresh_ = false;
   // The engine-offered intra-cell pool; beam candidates fan across it.
   TaskPool* task_pool_ = nullptr;
   bool pool_fresh_ = false;

@@ -45,13 +45,6 @@ class RetryingStrategy final : public Strategy, public FaultObserver {
   FaultResponse observe_fault(NodeId target, FaultFeedback feedback,
                               const AttackerView& view) override;
   [[nodiscard]] FaultObserver* as_fault_observer() override { return this; }
-  // Score-pack pooling passes straight through to the wrapped policy.
-  [[nodiscard]] bool wants_score_pack() const override {
-    return inner_->wants_score_pack();
-  }
-  void adopt_score_pack(const ScorePack& pack) override {
-    inner_->adopt_score_pack(pack);
-  }
   [[nodiscard]] std::string name() const override;
 
   /// Re-keys the backoff-jitter stream; takes effect at the next reset().

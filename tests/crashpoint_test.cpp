@@ -30,6 +30,7 @@
 #include "util/error.hpp"
 #include "util/exit_codes.hpp"
 #include "util/io_env.hpp"
+#include "test_dirs.hpp"
 
 #ifdef ACCU_HAVE_POSIX_IO
 
@@ -39,9 +40,7 @@ namespace {
 namespace fs = std::filesystem;
 
 std::string fresh_dir(const std::string& name) {
-  const std::string path = testing::TempDir() + name;
-  std::error_code ec;
-  fs::remove_all(path, ec);
+  const std::string path = testdirs::test_path(name);
   fs::create_directories(path);
   return path;
 }
@@ -180,7 +179,7 @@ std::string served_report(const std::string& job_dir) {
 
 void enumerate_served(const char* durability) {
   const std::string instance_path =
-      testing::TempDir() + "crashpoint_instance.accu";
+      testdirs::test_path("crashpoint_instance.accu");
   {
     util::Rng rng(3);
     datasets::DatasetConfig config;
@@ -293,7 +292,7 @@ TEST(CrashPointTest, FsyncFailureFailsStopWithDedicatedCodeAndResumes) {
 
 TEST(CrashPointTest, ServedShardMapsIoFailuresToDedicatedExitCodes) {
   const std::string instance_path =
-      testing::TempDir() + "crashpoint_codes_instance.accu";
+      testdirs::test_path("crashpoint_codes_instance.accu");
   {
     util::Rng rng(3);
     datasets::DatasetConfig config;

@@ -9,6 +9,7 @@
 #include "datasets/datasets.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/io.hpp"
+#include "test_dirs.hpp"
 
 namespace accu::datasets {
 namespace {
@@ -143,7 +144,7 @@ TEST(MakeDatasetTest, FromEdgeListAppliesProtocol) {
   // Write a small snapshot, ingest it, and check the §IV-A pipeline ran.
   util::Rng grng(31);
   const Graph topology = make_topology("facebook", 0.1, grng);
-  const std::string path = testing::TempDir() + "accu_snap_test.edges";
+  const std::string path = testdirs::test_path("accu_snap_test.edges");
   graph::write_edge_list_file(topology, path);
 
   DatasetConfig config;

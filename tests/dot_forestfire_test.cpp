@@ -11,6 +11,7 @@
 #include "graph/dot.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "test_dirs.hpp"
 
 namespace accu::graph {
 namespace {
@@ -55,7 +56,7 @@ TEST(DotTest, ProbabilitiesAndAttributes) {
 }
 
 TEST(DotTest, FileWriteAndMissingDirectory) {
-  const std::string path = testing::TempDir() + "accu_dot_test.dot";
+  const std::string path = testdirs::test_path("accu_dot_test.dot");
   write_dot_file(triangle(), path);
   std::ifstream is(path);
   EXPECT_TRUE(is.good());

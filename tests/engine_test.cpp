@@ -20,6 +20,7 @@
 
 #include "core/engine.hpp"
 #include "core/experiment.hpp"
+#include "core/instance_plan.hpp"
 #include "core/score_simd.hpp"
 #include "core/strategies/abm.hpp"
 #include "core/strategies/baselines.hpp"
@@ -567,36 +568,48 @@ TEST(EngineEquivalenceTest, ScoreEngineBackedStrategiesMatchScalarScoring) {
   }
 }
 
-TEST(EngineEquivalenceTest, WantsScorePackReflectsScoringMode) {
-  // The engine offers the workspace ScorePack — and with it the
-  // SIMD-dispatched batched rescore — exactly when wants_score_pack() is
-  // true.  Pin each strategy's answer so a scalar twin cannot silently
-  // drift onto (or off) the kernel seam.
-  EXPECT_TRUE(AbmStrategy(0.5, 0.5).wants_score_pack());
+TEST(EngineEquivalenceTest, PlanPackUseReflectsScoringMode) {
+  // Strategies reach the ScorePack — and with it the SIMD-dispatched
+  // kernels — only through the instance plan.  Each strategy runs on a
+  // fresh instance whose plan has built nothing; pin whether it built the
+  // pack, so a scalar twin cannot silently drift onto (or off) the kernel
+  // seam.
+  const auto builds_pack = [](std::unique_ptr<Strategy> strategy) {
+    const AccuInstance instance = facebook_instance();
+    util::Rng truth_rng(5);
+    const Realization truth = Realization::sample(instance, truth_rng);
+    util::Rng rng(6);
+    (void)simulate(instance, truth, *strategy, 6, rng);
+    return instance.plan().has_score_pack();
+  };
+  EXPECT_TRUE(builds_pack(std::make_unique<AbmStrategy>(0.5, 0.5)));
   {
     AbmStrategy::Config config;
     config.incremental = false;
-    EXPECT_FALSE(AbmStrategy(config).wants_score_pack());
+    EXPECT_FALSE(builds_pack(std::make_unique<AbmStrategy>(config)));
   }
-  EXPECT_TRUE(BatchedAbmStrategy(PotentialWeights{0.5, 0.5}, 5,
-                                 /*flat_scoring=*/true)
-                  .wants_score_pack());
-  EXPECT_FALSE(BatchedAbmStrategy(PotentialWeights{0.5, 0.5}, 5,
-                                  /*flat_scoring=*/false)
-                   .wants_score_pack());
+  EXPECT_TRUE(builds_pack(std::make_unique<BatchedAbmStrategy>(
+      PotentialWeights{0.5, 0.5}, 5, /*flat_scoring=*/true)));
+  EXPECT_FALSE(builds_pack(std::make_unique<BatchedAbmStrategy>(
+      PotentialWeights{0.5, 0.5}, 5, /*flat_scoring=*/false)));
   {
     LookaheadStrategy::Config config;
-    EXPECT_TRUE(LookaheadStrategy(config).wants_score_pack());
+    config.beam = 2;
+    config.scenario_samples = 1;
+    EXPECT_TRUE(builds_pack(std::make_unique<LookaheadStrategy>(config)));
     config.flat_scoring = false;
-    EXPECT_FALSE(LookaheadStrategy(config).wants_score_pack());
+    EXPECT_FALSE(builds_pack(std::make_unique<LookaheadStrategy>(config)));
   }
-  // The retry decorator forwards the inner policy's answer verbatim.
-  EXPECT_TRUE(RetryingStrategy(std::make_unique<AbmStrategy>(0.5, 0.5),
-                               util::RetryPolicy::exponential_jitter(3))
-                  .wants_score_pack());
-  EXPECT_FALSE(RetryingStrategy(std::make_unique<RandomStrategy>(),
-                                util::RetryPolicy::exponential_jitter(3))
-                   .wants_score_pack());
+  // The static baselines use the plan's orders, never the pack; the retry
+  // decorator changes nothing about the inner policy's scoring.
+  EXPECT_FALSE(builds_pack(std::make_unique<PageRankStrategy>()));
+  EXPECT_FALSE(builds_pack(std::make_unique<MaxDegreeStrategy>()));
+  EXPECT_TRUE(builds_pack(std::make_unique<RetryingStrategy>(
+      std::make_unique<AbmStrategy>(0.5, 0.5),
+      util::RetryPolicy::exponential_jitter(3))));
+  EXPECT_FALSE(builds_pack(std::make_unique<RetryingStrategy>(
+      std::make_unique<RandomStrategy>(),
+      util::RetryPolicy::exponential_jitter(3))));
 }
 
 TEST(EngineEquivalenceTest, ScalarTwinsMatchFlatUnderEveryForcedIsa) {

@@ -41,6 +41,7 @@
 #include "core/strategies/retrying.hpp"
 #include "core/theory/estimator.hpp"
 #include "datasets/datasets.hpp"
+#include "test_dirs.hpp"
 
 namespace accu {
 namespace {
@@ -615,9 +616,7 @@ ExperimentConfig feedback_config() {
 }
 
 std::string temp_path(const std::string& name) {
-  const std::string path = testing::TempDir() + name;
-  std::remove(path.c_str());
-  return path;
+  return testdirs::test_path(name);
 }
 
 std::string read_file(const std::string& path) {

@@ -8,6 +8,7 @@
 #include "graph/algorithms.hpp"
 #include "graph/graph.hpp"
 #include "graph/io.hpp"
+#include "test_dirs.hpp"
 
 namespace accu::graph {
 namespace {
@@ -273,7 +274,7 @@ TEST(IoTest, RejectsEndpointBeyondDeclaredCount) {
 
 TEST(IoTest, FileRoundTrip) {
   const Graph g = triangle_plus_tail();
-  const std::string path = testing::TempDir() + "accu_io_test.edges";
+  const std::string path = testdirs::test_path("accu_io_test.edges");
   write_edge_list_file(g, path);
   const Graph back = read_edge_list_file(path);
   EXPECT_EQ(back.num_nodes(), g.num_nodes());

@@ -24,6 +24,7 @@
 #include "util/crc32.hpp"
 #include "util/error.hpp"
 #include "util/io_env.hpp"
+#include "test_dirs.hpp"
 
 namespace accu {
 namespace {
@@ -118,7 +119,7 @@ TEST(InstanceFormatTest, LayoutIsPureFunctionOfShape) {
 
 TEST(InstanceFormatTest, TextBinaryTextIsByteIdentical) {
   const AccuInstance original = small_instance(1);
-  const std::string bin = testing::TempDir() + "fmt_roundtrip.accui";
+  const std::string bin = testdirs::test_path("fmt_roundtrip.accui");
   write_instance_binary_file(original, bin);
   const AccuInstance loaded = read_instance_binary_file(bin);
   EXPECT_EQ(text_of(loaded), text_of(original));
@@ -126,8 +127,8 @@ TEST(InstanceFormatTest, TextBinaryTextIsByteIdentical) {
 
 TEST(InstanceFormatTest, BinaryWriteIsDeterministicAndStable) {
   const AccuInstance original = small_instance(2);
-  const std::string a = testing::TempDir() + "fmt_stable_a.accui";
-  const std::string b = testing::TempDir() + "fmt_stable_b.accui";
+  const std::string a = testdirs::test_path("fmt_stable_a.accui");
+  const std::string b = testdirs::test_path("fmt_stable_b.accui");
   write_instance_binary_file(original, a);
   // binary -> load -> binary must reproduce the same bytes (flags, layout
   // and every payload included).
@@ -138,7 +139,7 @@ TEST(InstanceFormatTest, BinaryWriteIsDeterministicAndStable) {
 TEST(InstanceFormatTest, GeneralizedModelRoundTrips) {
   const AccuInstance original = small_instance(3, 0.125, 0.875);
   ASSERT_TRUE(original.has_generalized_cautious());
-  const std::string bin = testing::TempDir() + "fmt_generalized.accui";
+  const std::string bin = testdirs::test_path("fmt_generalized.accui");
   write_instance_binary_file(original, bin);
   const AccuInstance loaded = read_instance_binary_file(bin);
   EXPECT_TRUE(loaded.has_generalized_cautious());
@@ -147,7 +148,7 @@ TEST(InstanceFormatTest, GeneralizedModelRoundTrips) {
 
 TEST(InstanceFormatTest, PackTableAdoptionIsBitIdentical) {
   const AccuInstance original = small_instance(4);
-  const std::string bin = testing::TempDir() + "fmt_adopt.accui";
+  const std::string bin = testdirs::test_path("fmt_adopt.accui");
   write_instance_binary_file(original, bin, /*with_pack_tables=*/true);
   const AccuInstance loaded = read_instance_binary_file(bin);
   ASSERT_NE(loaded.pack_tables(), nullptr);
@@ -186,7 +187,7 @@ TEST(InstanceFormatTest, TamperedPackTablesAreRejected) {
   // it.  Each case is an invariant the engine relies on for memory safety
   // or finite arithmetic.
   const AccuInstance original = small_instance(10);
-  const std::string bin = testing::TempDir() + "fmt_pack_tamper.accui";
+  const std::string bin = testdirs::test_path("fmt_pack_tamper.accui");
   write_instance_binary_file(original, bin, /*with_pack_tables=*/true);
   const std::vector<char> pristine = read_bytes(bin);
   fmt::Header h;
@@ -256,7 +257,7 @@ TEST(InstanceFormatTest, TamperedPackTablesAreRejected) {
 
 TEST(InstanceFormatTest, SimulationTraceIdenticalAcrossFormats) {
   const AccuInstance original = small_instance(5);
-  const std::string bin = testing::TempDir() + "fmt_sim.accui";
+  const std::string bin = testdirs::test_path("fmt_sim.accui");
   write_instance_binary_file(original, bin);
   const AccuInstance loaded = read_instance_binary_file(bin);
 
@@ -278,8 +279,8 @@ TEST(InstanceFormatTest, SimulationTraceIdenticalAcrossFormats) {
 
 TEST(InstanceFormatTest, AutoDetectionSniffsTheMagic) {
   const AccuInstance original = small_instance(6);
-  const std::string text = testing::TempDir() + "fmt_auto.accu";
-  const std::string bin = testing::TempDir() + "fmt_auto.accui";
+  const std::string text = testdirs::test_path("fmt_auto.accu");
+  const std::string bin = testdirs::test_path("fmt_auto.accui");
   write_instance_file(original, text);
   write_instance_binary_file(original, bin);
   EXPECT_FALSE(is_binary_instance_file(text));
@@ -292,13 +293,13 @@ TEST(InstanceFormatTest, AutoDetectionSniffsTheMagic) {
   EXPECT_THROW(
       (InstanceSource{text, InstanceSource::Format::kBinary}.load()),
       IoError);
-  EXPECT_THROW(is_binary_instance_file(testing::TempDir() + "fmt_none"),
+  EXPECT_THROW(is_binary_instance_file(testdirs::test_path("fmt_none")),
                IoError);
 }
 
 TEST(InstanceFormatTest, CorruptionInEverySectionIsDetected) {
   const AccuInstance original = small_instance(7, 0.25, 0.75);
-  const std::string bin = testing::TempDir() + "fmt_corrupt.accui";
+  const std::string bin = testdirs::test_path("fmt_corrupt.accui");
   write_instance_binary_file(original, bin);
   const std::vector<char> pristine = read_bytes(bin);
 
@@ -323,7 +324,7 @@ TEST(InstanceFormatTest, CorruptionInEverySectionIsDetected) {
 
 TEST(InstanceFormatTest, HeaderAndFooterCorruptionIsDetected) {
   const AccuInstance original = small_instance(8);
-  const std::string bin = testing::TempDir() + "fmt_header.accui";
+  const std::string bin = testdirs::test_path("fmt_header.accui");
   write_instance_binary_file(original, bin);
   const std::vector<char> pristine = read_bytes(bin);
   fmt::Header h;
@@ -396,7 +397,7 @@ TEST(InstanceFormatTest, HeaderAndFooterCorruptionIsDetected) {
 
 TEST(InstanceFormatTest, TornAndOversizedFilesAreDetected) {
   const AccuInstance original = small_instance(9);
-  const std::string bin = testing::TempDir() + "fmt_torn.accui";
+  const std::string bin = testdirs::test_path("fmt_torn.accui");
   write_instance_binary_file(original, bin);
   const std::vector<char> pristine = read_bytes(bin);
 
@@ -419,7 +420,7 @@ TEST(InstanceFormatTest, TornAndOversizedFilesAreDetected) {
 }
 
 TEST(InstanceFormatTest, WriterEnforcesTheSectionProtocol) {
-  const std::string path = testing::TempDir() + "fmt_protocol.accui";
+  const std::string path = testdirs::test_path("fmt_protocol.accui");
   {  // wrong section order
     BinaryInstanceWriter w;
     w.open(path, 4, 0, 0);
@@ -460,8 +461,8 @@ TEST(InstanceFormatTest, StreamGenIsIndependentOfBatchSize) {
   config.avg_degree = 12.0;
   config.num_cautious = 40;
   config.seed = 13;
-  const std::string a = testing::TempDir() + "fmt_gen_a.accui";
-  const std::string b = testing::TempDir() + "fmt_gen_b.accui";
+  const std::string a = testdirs::test_path("fmt_gen_a.accui");
+  const std::string b = testdirs::test_path("fmt_gen_b.accui");
   config.batch_bytes = 1;  // floored to 64 KiB — many scatter passes
   const datasets::StreamGenStats stats_a =
       datasets::generate_instance_stream(config, a);
@@ -478,7 +479,7 @@ TEST(InstanceFormatTest, StreamGenOutputIsAValidAdoptableInstance) {
   config.avg_degree = 10.0;
   config.num_cautious = 25;
   config.seed = 17;
-  const std::string path = testing::TempDir() + "fmt_gen_valid.accui";
+  const std::string path = testdirs::test_path("fmt_gen_valid.accui");
   const datasets::StreamGenStats stats =
       datasets::generate_instance_stream(config, path);
   EXPECT_EQ(stats.num_nodes, config.num_nodes);
@@ -532,7 +533,7 @@ TEST(InstanceFormatTest, StreamGenWithoutPackTables) {
   config.num_nodes = 1000;
   config.num_cautious = 10;
   config.pack_tables = false;
-  const std::string path = testing::TempDir() + "fmt_gen_nopack.accui";
+  const std::string path = testdirs::test_path("fmt_gen_nopack.accui");
   (void)datasets::generate_instance_stream(config, path);
   const AccuInstance instance = read_instance_binary_file(path);
   EXPECT_EQ(instance.pack_tables(), nullptr);
@@ -557,7 +558,7 @@ TEST(InstanceFormatTest, StreamGenRejectsBadConfigs) {
 #ifdef ACCU_HAVE_POSIX_IO
 
 TEST(InstanceFormatTest, EnospcDuringPackLeavesThePreviousFileIntact) {
-  const std::string path = testing::TempDir() + "fmt_enospc.accui";
+  const std::string path = testdirs::test_path("fmt_enospc.accui");
   const AccuInstance first = small_instance(20);
   write_instance_binary_file(first, path);
   const std::vector<char> before = read_bytes(path);
@@ -574,7 +575,7 @@ TEST(InstanceFormatTest, EnospcDuringPackLeavesThePreviousFileIntact) {
 }
 
 TEST(InstanceFormatTest, FsyncFailureDuringPackSurfacesAsSyncLost) {
-  const std::string path = testing::TempDir() + "fmt_sync.accui";
+  const std::string path = testdirs::test_path("fmt_sync.accui");
   const AccuInstance first = small_instance(22);
   write_instance_binary_file(first, path);
   const std::vector<char> before = read_bytes(path);
@@ -590,7 +591,7 @@ TEST(InstanceFormatTest, FsyncFailureDuringPackSurfacesAsSyncLost) {
 }
 
 TEST(InstanceFormatTest, EnospcDuringStreamGenLeavesNoTarget) {
-  const std::string path = testing::TempDir() + "fmt_gen_enospc.accui";
+  const std::string path = testdirs::test_path("fmt_gen_enospc.accui");
   datasets::StreamGenConfig config;
   config.num_nodes = 2000;
   config.num_cautious = 10;

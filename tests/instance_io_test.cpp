@@ -9,6 +9,7 @@
 #include "datasets/datasets.hpp"
 #include "util/error.hpp"
 #include "util/io_env.hpp"
+#include "test_dirs.hpp"
 
 namespace accu {
 namespace {
@@ -76,7 +77,7 @@ TEST(InstanceIoTest, FileRoundTrip) {
   config.num_cautious = 5;
   const AccuInstance original =
       datasets::make_dataset("twitter", config, rng);
-  const std::string path = testing::TempDir() + "accu_instance_test.accu";
+  const std::string path = testdirs::test_path("accu_instance_test.accu");
   write_instance_file(original, path);
   const AccuInstance loaded = read_instance_file(path);
   expect_same_instance(original, loaded);
@@ -327,7 +328,7 @@ AccuInstance small_instance(std::uint64_t seed) {
 }
 
 TEST(InstanceIoTest, EnospcDuringWriteLeavesThePreviousFileIntact) {
-  const std::string path = testing::TempDir() + "accu_instance_enospc.accu";
+  const std::string path = testdirs::test_path("accu_instance_enospc.accu");
   const AccuInstance first = small_instance(3);
   write_instance_file(first, path);
   {
@@ -343,7 +344,7 @@ TEST(InstanceIoTest, EnospcDuringWriteLeavesThePreviousFileIntact) {
 }
 
 TEST(InstanceIoTest, ShortWritesStillProduceACompleteFile) {
-  const std::string path = testing::TempDir() + "accu_instance_short.accu";
+  const std::string path = testdirs::test_path("accu_instance_short.accu");
   const AccuInstance original = small_instance(5);
   util::FaultyFs faulty;
   util::ScopedIoEnv scoped(faulty);
@@ -353,7 +354,7 @@ TEST(InstanceIoTest, ShortWritesStillProduceACompleteFile) {
 }
 
 TEST(InstanceIoTest, FsyncFailureDuringWriteSurfacesAsSyncLost) {
-  const std::string path = testing::TempDir() + "accu_instance_sync.accu";
+  const std::string path = testdirs::test_path("accu_instance_sync.accu");
   const AccuInstance first = small_instance(6);
   write_instance_file(first, path);
   {

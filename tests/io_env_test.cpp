@@ -15,6 +15,7 @@
 #include "util/atomic_file.hpp"
 #include "util/error.hpp"
 #include "util/io_env.hpp"
+#include "test_dirs.hpp"
 
 #ifdef ACCU_HAVE_POSIX_IO
 
@@ -22,9 +23,7 @@ namespace accu::util {
 namespace {
 
 std::string temp_path(const std::string& name) {
-  const std::string path = testing::TempDir() + name;
-  std::remove(path.c_str());
-  return path;
+  return testdirs::test_path(name);
 }
 
 std::string read_file(const std::string& path) {
@@ -216,7 +215,7 @@ TEST(IoEnvTest, AppenderRecordsSurviveCrashOnlyUpToTheLastFsync) {
 }
 
 TEST(IoEnvTest, CheckedDirFsyncThrowsOnHardError) {
-  const std::string dir = testing::TempDir();
+  const std::string dir = testdirs::test_dir();
   FaultyFs faulty;
   ScopedIoEnv scoped(faulty);
   checked_fsync_dir(dir);  // healthy: no throw

@@ -14,6 +14,7 @@
 #include "core/strategies/baselines.hpp"
 #include "datasets/datasets.hpp"
 #include "graph/generators.hpp"
+#include "test_dirs.hpp"
 
 namespace accu {
 namespace {
@@ -188,7 +189,7 @@ TEST(MarkdownReportTest, EnospcOnTheDurableReportPathLeavesTheOldReport) {
   write_markdown_report(result, config, os);
   const std::string rendered = os.str();
 
-  const std::string path = testing::TempDir() + "report_enospc_test.md";
+  const std::string path = testdirs::test_path("report_enospc_test.md");
   util::write_file_atomic(path, "previous report\n");
   {
     util::FaultyFs faulty;

@@ -22,6 +22,7 @@
 #include "core/experiment.hpp"
 #include "core/strategies/baselines.hpp"
 #include "datasets/datasets.hpp"
+#include "test_dirs.hpp"
 
 // Written by the forked child's SIGTERM handler, polled by the watchdog —
 // the same arrangement the CLI uses.
@@ -84,9 +85,7 @@ std::vector<StrategyFactory> slow_roster(std::chrono::milliseconds delay) {
 }
 
 std::string temp_path(const std::string& name) {
-  const std::string path = testing::TempDir() + name;
-  std::remove(path.c_str());
-  return path;
+  return testdirs::test_path(name);
 }
 
 /// Exact equality of every aggregate — the resilience guarantee is

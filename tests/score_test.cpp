@@ -180,9 +180,11 @@ TEST(ScorePackTest, IdentityTracksInstanceUidNotJustAddress) {
   pack.build(a);
   EXPECT_TRUE(pack.built_for(a));
 
-  // A copy shares contents and uid, so the pack still describes it only at
-  // the same address; a fresh construction (new uid) must be rejected even
-  // if the allocator reuses the address.
+  // A copy shares contents and uid, so the pack describes it too, at any
+  // address; a fresh construction (new uid) must be rejected even if the
+  // allocator reuses the address.
+  const AccuInstance copy = a;
+  EXPECT_TRUE(pack.built_for(copy));
   const AccuInstance b = make_instance(kMixes[2]);
   EXPECT_FALSE(pack.built_for(b));
   pack.build(b);
@@ -279,13 +281,15 @@ TEST(ScoreEngineTest, IncrementalScoresMatchScalarRescanAtEveryStep) {
     const NodeId n = instance.num_nodes();
     ScorePack pack;
     pack.build(instance);
+    BlankTables blank;
+    blank.build(pack);
     for (const PotentialWeights& weights : kWeightSettings) {
       const AbmStrategy scalar = make_scalar(weights);
       util::Rng truth_rng(mix.seed * 100 + 2);
       const Realization truth = Realization::sample(instance, truth_rng);
       AttackerView view(instance);
       ScoreEngine engine;
-      engine.reset(pack, weights);
+      engine.reset(pack, blank, weights);
       for (std::uint32_t step = 0; step <= 60; ++step) {
         for (NodeId u = 0; u < n; ++u) {
           if (view.is_requested(u)) {
@@ -321,6 +325,8 @@ TEST(ScoreEngineTest, ResetRearmsAfterAFullRun) {
   const NodeId n = instance.num_nodes();
   ScorePack pack;
   pack.build(instance);
+  BlankTables blank;
+  blank.build(pack);
   const PotentialWeights weights{0.5, 0.5};
   const AbmStrategy scalar = make_scalar(weights);
   ScoreEngine engine;
@@ -328,7 +334,7 @@ TEST(ScoreEngineTest, ResetRearmsAfterAFullRun) {
     util::Rng truth_rng(40 + round);
     const Realization truth = Realization::sample(instance, truth_rng);
     AttackerView view(instance);
-    engine.reset(pack, weights);
+    engine.reset(pack, blank, weights);
     for (std::uint32_t step = 0; step < 25; ++step) {
       const NodeId target = pick_target(view, step);
       if (resolve_acceptance(instance, truth, view, target)) {

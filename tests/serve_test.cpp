@@ -31,6 +31,7 @@
 #include "util/error.hpp"
 #include "util/exit_codes.hpp"
 #include "util/lockfile.hpp"
+#include "test_dirs.hpp"
 
 namespace accu::serve {
 namespace {
@@ -44,10 +45,7 @@ namespace fs = std::filesystem;
 namespace exit_code = util::exit_code;
 
 std::string temp_path(const std::string& name) {
-  const std::string path = testing::TempDir() + name;
-  std::error_code ec;
-  fs::remove_all(path, ec);
-  return path;
+  return testdirs::test_path(name);
 }
 
 std::string read_file(const std::string& path) {

@@ -24,6 +24,7 @@
 #include "core/strategies/abm.hpp"
 #include "core/strategies/baselines.hpp"
 #include "datasets/datasets.hpp"
+#include "test_dirs.hpp"
 
 namespace accu {
 namespace {
@@ -57,9 +58,7 @@ ExperimentConfig base_config() {
 }
 
 std::string temp_path(const std::string& name) {
-  const std::string path = testing::TempDir() + name;
-  std::remove(path.c_str());
-  return path;
+  return testdirs::test_path(name);
 }
 
 std::string read_file(const std::string& path) {

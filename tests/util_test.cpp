@@ -23,6 +23,7 @@
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+#include "test_dirs.hpp"
 
 namespace accu::util {
 namespace {
@@ -419,7 +420,7 @@ TEST(OptionsTest, UnknownOptionDetected) {
 }
 
 TEST(OptionsTest, ResponseFileSuppliesDefaults) {
-  const std::string path = testing::TempDir() + "accu_options_test.opts";
+  const std::string path = testdirs::test_path("accu_options_test.opts");
   {
     std::ofstream os(path);
     os << "# experiment defaults\n"
@@ -440,7 +441,7 @@ TEST(OptionsTest, ResponseFileErrors) {
   const char* argv[] = {"prog"};
   Options opts(1, argv);
   EXPECT_THROW(opts.load_defaults_file("/nonexistent/opts"), IoError);
-  const std::string path = testing::TempDir() + "accu_options_bad.opts";
+  const std::string path = testdirs::test_path("accu_options_bad.opts");
   {
     std::ofstream os(path);
     os << "=value\n";
@@ -615,9 +616,7 @@ TEST(Crc32Test, IncrementalChainingEqualsOneShot) {
 // ----------------------------------------------------------- atomic file ----
 
 std::string util_temp_path(const std::string& name) {
-  const std::string path = testing::TempDir() + name;
-  std::remove(path.c_str());
-  return path;
+  return testdirs::test_path(name);
 }
 
 std::string slurp(const std::string& path) {
@@ -646,16 +645,16 @@ TEST(AtomicFileTest, FsyncDirFlushesARealDirectory) {
   // The helper behind durable renames/creates: it must succeed on a real
   // directory and report (not throw) failure on a bogus path, since every
   // caller treats directory fsync as best effort.
-  EXPECT_TRUE(fsync_dir(testing::TempDir()));
-  EXPECT_FALSE(fsync_dir(testing::TempDir() + "no_such_dir_accu"));
+  EXPECT_TRUE(fsync_dir(testdirs::test_dir()));
+  EXPECT_FALSE(fsync_dir(testdirs::test_path("no_such_dir_accu")));
 }
 
 TEST(AtomicFileTest, FsyncParentDirResolvesTheContainingDirectory) {
   const std::string path = util_temp_path("accu_parent_sync.txt");
   write_file_atomic(path, "x");
   EXPECT_TRUE(fsync_parent_dir(path));
-  EXPECT_FALSE(fsync_parent_dir(testing::TempDir() +
-                                "no_such_dir_accu/file.txt"));
+  EXPECT_FALSE(
+      fsync_parent_dir(testdirs::test_path("no_such_dir_accu/file.txt")));
   // A bare filename's parent is the working directory.
   EXPECT_TRUE(fsync_parent_dir("bare_name_without_slash"));
 }

@@ -3,6 +3,9 @@
 #
 #   1. plain RelWithDebInfo             — the configuration users run
 #   2. Debug with ACCU_SANITIZE=ON      — AddressSanitizer + UBSan
+#   2b. parallel I/O stress            — the I/O-heavy suites repeated under
+#      `ctest -j --schedule-random`, so tests that share a path or a
+#      directory fail here instead of intermittently
 #   3. engine gate                      — the engine-equivalence suite under
 #      ASan + the micro_core allocations-per-cell ceiling
 #   4. shard round-trip                 — a sweep split into three shard
@@ -21,7 +24,8 @@
 #      checkpoint `feedback` header must survive the same abuse)
 #   7. Debug with ACCU_SANITIZE=thread  — ThreadSanitizer over the
 #      concurrency-heavy suites (experiment pool, watchdog, checkpoint
-#      appends, cancellation, serve journal/daemon, intra-cell task pool)
+#      appends, cancellation, serve journal/daemon, intra-cell task pool,
+#      concurrent first use of the per-instance plan)
 #   8. forced-ISA dispatch              — the Score suites re-run under
 #      every kernel table the host supports (ACCU_SIMD=scalar/avx2/neon),
 #      in the plain, ASan, and TSan trees: every dispatch tail must be
@@ -50,6 +54,15 @@ cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-ci -j "${JOBS}"
 ctest --test-dir build-ci --output-on-failure -j "${JOBS}" --timeout 300
 
+echo "=== parallel I/O stress: random order, repeated ==="
+# Every gtest case is its own ctest process; the I/O-heavy suites write
+# real files, so run them in parallel, in random order, three times over.
+# A test that shares a path with another (instead of taking it from
+# tests/test_dirs.hpp) shows up here as a failure.
+ctest --test-dir build-ci --output-on-failure -j "$(nproc)" --timeout 300 \
+  --schedule-random --repeat until-fail:3 \
+  -R 'CrashPoint|Serve|Resilience|Checkpoint|Shard|Merge|IoEnv|InstanceFormat'
+
 echo "=== sanitized build (Debug, address+undefined) ==="
 cmake -B build-ci-san -S . -DCMAKE_BUILD_TYPE=Debug -DACCU_SANITIZE=address
 cmake --build build-ci-san -j "${JOBS}"
@@ -64,7 +77,7 @@ echo "=== engine + score-engine equivalence under ASan + allocation budget ==="
 # recorded allocations-per-cell ceiling (the O(1)-allocations property of
 # SimWorkspace).
 ctest --test-dir build-ci-san --output-on-failure -j "${JOBS}" --timeout 300 \
-  -R 'Engine|Score|Shard|Merge|Serve|IoEnv|GroupCommit|CrashPoint|Feedback|InstanceFormat'
+  -R 'Engine|Score|InstancePlan|Shard|Merge|Serve|IoEnv|GroupCommit|CrashPoint|Feedback|InstanceFormat'
 ./build-ci/bench/micro_core --json build-ci/BENCH_micro_core.json
 ALLOCS="$(sed -n 's/.*"pooled_allocs_per_cell": \([0-9.]*\).*/\1/p' \
   build-ci/BENCH_micro_core.json)"
@@ -248,7 +261,7 @@ echo "=== sanitized build (Debug, thread) ==="
 cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DACCU_SANITIZE=thread
 cmake --build build-ci-tsan -j "${JOBS}"
 ctest --test-dir build-ci-tsan --output-on-failure -j "${JOBS}" --timeout 300 \
-  -R 'Experiment|Checkpoint|Fault|Resilience|Backoff|Cancel|Crc|AtomicFile|DurableAppender|Serve|IoEnv|GroupCommit|CrashPoint|Feedback|InstanceFormat'
+  -R 'Experiment|InstancePlan|Checkpoint|Fault|Resilience|Backoff|Cancel|Crc|AtomicFile|DurableAppender|Serve|IoEnv|GroupCommit|CrashPoint|Feedback|InstanceFormat'
 # The intra-cell task pool and chunked rescore under TSan, per kernel
 # table: the pool's claim/join protocol and the const-scratch sharing of
 # score_batch_ranged must be race-free under every dispatch tail.
