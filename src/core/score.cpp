@@ -11,7 +11,65 @@
 namespace accu {
 
 namespace {
+
 constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
+
+/// Calls f(v) for every cautious node v, walking the bitset words.
+template <class F>
+void for_each_cautious(const ScorePack& pack, F&& f) {
+  const std::span<const std::uint64_t> words = pack.cautious_words();
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    std::uint64_t bits = words[w];
+    while (bits != 0) {
+      f(static_cast<NodeId>((w << 6) +
+                            static_cast<unsigned>(std::countr_zero(bits))));
+      bits &= bits - 1;
+    }
+  }
+}
+
+/// The blank-state P_I gap table: 1/θ_v for cautious v, 0.0 elsewhere.
+void blank_inv_gap(const ScorePack& pack, std::vector<double>& inv_gap) {
+  inv_gap.assign(pack.num_nodes(), 0.0);
+  for_each_cautious(pack, [&](NodeId v) {
+    inv_gap[v] = 1.0 / static_cast<double>(pack.theta(v));
+  });
+}
+
+/// P(u|ω) of un-requested u with mutual count `mutual_u`, gathered through
+/// the per-node P_D mask and P_I gap tables (ScoreBatchScratch) — the one
+/// row formula score_batch and ScoreEngine share.
+double row_potential(const ScorePack& pack, const PotentialWeights& weights,
+                     NodeId u, std::uint32_t mutual_u, const double* active,
+                     const double* inv_gap, const simd::ScoreKernels& kernels) {
+  const bool cautious = pack.is_cautious(u);
+  const double q = cautious ? (mutual_u >= pack.theta(u) ? pack.q_above(u)
+                                                         : pack.q_below(u))
+                            : pack.q_reckless(u);
+  if (q <= 0.0) return 0.0;
+  const std::uint32_t s0 = pack.row_begin(u);
+  const std::uint32_t s1 = pack.row_begin(u + 1);
+  const NodeId* nodes = pack.slot_nodes_all().data();
+  // P_D: mask-multiply gather in the canonical lane order; a deactivated
+  // term (friend or FOF neighbor) contributes an exact +0.0, matching the
+  // scalar reference's skip bit for bit.
+  double direct = pack.friend_benefit(u);
+  if (mutual_u > 0) direct -= pack.fof_benefit(u);  // u un-requested ⇒ FOF
+  direct += kernels.row_gather_mul(pack.d_init_all().data(), nodes, active,
+                                   s0, s1);
+  double value = weights.direct * direct;
+  if (weights.indirect > 0.0 && !cautious) {
+    // P_I: slots with a reckless neighbor carry i_gain = 0.0; neighbors
+    // with no indirect value left carry inv_gap = 0.0 — either factor
+    // zeroes the term exactly, so the full-row gather matches the scalar
+    // reference's conditional loop.  (Cautious u: indirect ≡ 0, and
+    // adding weights.indirect * 0.0 is a no-op — skip the row entirely.)
+    value += weights.indirect * kernels.row_gather_mul(pack.i_gain_all().data(),
+                                                       nodes, inv_gap, s0, s1);
+  }
+  return q * value;
+}
+
 }  // namespace
 
 void ScorePack::build(const AccuInstance& instance) {
@@ -128,38 +186,22 @@ void ScorePack::build(const AccuInstance& instance) {
 void BlankTables::build(const ScorePack& pack) {
   const NodeId n = pack.num_nodes();
   const double* d_init = pack.d_init_all().data();
-  const std::span<const double> i_gain = pack.i_gain_all();
-  const std::span<const std::uint32_t> theta = pack.slot_theta_all();
+  const double* i_gain = pack.i_gain_all().data();
+  const NodeId* nodes = pack.slot_nodes_all().data();
   const simd::ScoreKernels& kernels = simd::kernels();
+  // Blank state: no friend or FOF (mask all ones) and mutual = 0 (gap θ_v).
+  const std::vector<double> active(n, 1.0);
+  std::vector<double> inv_gap;
+  blank_inv_gap(pack, inv_gap);
   direct_sum.resize(n);
-  indirect_sum.assign(n, 0.0);
-  indirect_slots.clear();
-  indirect_values.clear();
-  std::vector<double> row;  // one row of the blank P_I contributions
+  indirect_sum.resize(n);
   for (NodeId u = 0; u < n; ++u) {
     const std::uint32_t s0 = pack.row_begin(u);
     const std::uint32_t s1 = pack.row_begin(u + 1);
-    direct_sum[u] = kernels.row_sum(d_init, s0, s1);
-    const std::size_t first = indirect_slots.size();
-    for (std::uint32_t s = s0; s < s1; ++s) {
-      if (i_gain[s] == 0.0) continue;
-      // Blank state: mutual = 0, denominator = θ_v.  Reciprocal form
-      // (numerator · 1/gap) — the canonical P_I operation order shared
-      // with score_batch and the scalar reference.
-      indirect_slots.push_back(s);
-      indirect_values.push_back(i_gain[s] *
-                                (1.0 / static_cast<double>(theta[s])));
-    }
-    // A row without non-zero terms sums to exactly +0.0, as assigned.  The
-    // canonical lanes run over slot positions relative to s0, so summing a
-    // zero-filled copy of the row reproduces the engine's row sum.
-    if (indirect_slots.size() == first) continue;
-    row.assign(s1 - s0, 0.0);
-    for (std::size_t k = first; k < indirect_slots.size(); ++k) {
-      row[indirect_slots[k] - s0] = indirect_values[k];
-    }
+    direct_sum[u] =
+        kernels.row_gather_mul(d_init, nodes, active.data(), s0, s1);
     indirect_sum[u] =
-        kernels.row_sum(row.data(), 0, static_cast<std::uint32_t>(row.size()));
+        kernels.row_gather_mul(i_gain, nodes, inv_gap.data(), s0, s1);
   }
 }
 
@@ -202,25 +244,16 @@ void score_batch_prepare(const ScorePack& pack, const AttackerView& view,
   }
 
   // P_I reciprocal gaps: only cautious nodes can carry one, so walk the
-  // cautious bitset words instead of all n nodes.
+  // cautious bitset instead of all n nodes.
   if (want_indirect) {
     scratch.inv_gap.assign(n, 0.0);
     double* inv_gap = scratch.inv_gap.data();
-    const std::span<const std::uint64_t> words = pack.cautious_words();
-    for (std::size_t w = 0; w < words.size(); ++w) {
-      std::uint64_t bits = words[w];
-      while (bits != 0) {
-        const NodeId v = static_cast<NodeId>(
-            (w << 6) + static_cast<unsigned>(std::countr_zero(bits)));
-        bits &= bits - 1;
-        if (rs[v] != RequestState::kUnknown) continue;  // spent or rejected
-        const std::uint32_t theta = pack.theta(v);
-        const std::uint32_t m = mutual[v];
-        if (m < theta) {
-          inv_gap[v] = 1.0 / static_cast<double>(theta - m);
-        }
-      }
-    }
+    for_each_cautious(pack, [&](NodeId v) {
+      if (rs[v] != RequestState::kUnknown) return;  // spent or rejected
+      const std::uint32_t theta = pack.theta(v);
+      const std::uint32_t m = mutual[v];
+      if (m < theta) inv_gap[v] = 1.0 / static_cast<double>(theta - m);
+    });
   } else {
     scratch.inv_gap.resize(n);  // keep sized for the ranged call's pointers
   }
@@ -236,48 +269,14 @@ void score_batch_ranged(const ScorePack& pack, const AttackerView& view,
   ACCU_ASSERT(scratch.active.size() >= pack.num_nodes());
   const RequestState* rs = view.request_states().data();
   const std::uint32_t* mutual = view.mutual_counts().data();
-  const double* d_init = pack.d_init_all().data();
-  const double* i_gain = pack.i_gain_all().data();
-  const NodeId* nodes = pack.slot_nodes_all().data();
   const double* active = scratch.active.data();
   const double* inv_gap = scratch.inv_gap.data();
-  const bool want_indirect = weights.indirect > 0.0;
   const simd::ScoreKernels& kernels = simd::kernels();
-
   for (NodeId u = begin; u < end; ++u) {
-    double& result = out[u - begin];
-    if (rs[u] != RequestState::kUnknown) {
-      result = 0.0;
-      continue;
-    }
-    const bool cautious = pack.is_cautious(u);
-    const double q = cautious ? (mutual[u] >= pack.theta(u) ? pack.q_above(u)
-                                                            : pack.q_below(u))
-                              : pack.q_reckless(u);
-    if (q <= 0.0) {
-      result = 0.0;
-      continue;
-    }
-    const std::uint32_t s0 = pack.row_begin(u);
-    const std::uint32_t s1 = pack.row_begin(u + 1);
-    // P_D: mask-multiply gather in the canonical lane order; a deactivated
-    // term (friend or FOF neighbor) contributes an exact +0.0, matching the
-    // scalar reference's skip bit for bit.
-    double direct = pack.friend_benefit(u);
-    if (mutual[u] > 0) direct -= pack.fof_benefit(u);  // u un-requested ⇒ FOF
-    direct += kernels.row_gather_mul(d_init, nodes, active, s0, s1);
-    double value = weights.direct * direct;
-    if (want_indirect && !cautious) {
-      // P_I: slots with a reckless neighbor carry i_gain = 0.0; neighbors
-      // with no indirect value left carry inv_gap = 0.0 — either factor
-      // zeroes the term exactly, so the full-row gather matches the scalar
-      // reference's conditional loop.  (Cautious u: indirect ≡ 0, and
-      // adding weights.indirect * 0.0 is a no-op — skip the row entirely.)
-      value +=
-          weights.indirect * kernels.row_gather_mul(i_gain, nodes, inv_gap,
-                                                    s0, s1);
-    }
-    result = q * value;
+    out[u - begin] = rs[u] != RequestState::kUnknown
+                         ? 0.0
+                         : row_potential(pack, weights, u, mutual[u], active,
+                                         inv_gap, kernels);
   }
 }
 
@@ -324,51 +323,31 @@ void ScoreEngine::reset(const ScorePack& pack, const BlankTables& blank,
   maintain_indirect_ = weights.indirect > 0.0;
   pristine_ = true;
 
-  const std::span<const double> d_init = pack.d_init_all();
-  contrib_d_.assign(d_init.begin(), d_init.end());
-  if (maintain_indirect_) {
-    // Blank P_I terms are zero except on the tables' sparse slot list.
-    contrib_i_.assign(pack.num_slots(), 0.0);
-    for (std::size_t k = 0; k < blank.indirect_slots.size(); ++k) {
-      contrib_i_[blank.indirect_slots[k]] = blank.indirect_values[k];
-    }
-  } else {
-    contrib_i_.clear();
-  }
-
   const NodeId n = pack.num_nodes();
+  active_.assign(n, 1.0);
+  if (maintain_indirect_) {
+    blank_inv_gap(pack, inv_gap_);
+  } else {
+    inv_gap_.clear();
+  }
   mutual_.assign(n, 0);
-  fof_.assign(n, 0);
   requested_.assign(n, 0);
-  dirty_.assign(n, 0);
   eager_.clear();
   eager_stamp_.assign(n, 0);
   eager_round_ = 0;
 }
 
 double ScoreEngine::score(NodeId u) const {
-  const ScorePack& pack = *pack_;
   ACCU_ASSERT_MSG(requested_[u] == 0,
                   "score() is defined for un-requested candidates only");
-  const bool cautious = pack.is_cautious(u);
-  const double q = cautious ? (mutual_[u] >= pack.theta(u) ? pack.q_above(u)
-                                                           : pack.q_below(u))
-                            : pack.q_reckless(u);
-  if (q <= 0.0) return 0.0;
-  const std::uint32_t s0 = pack.row_begin(u);
-  const std::uint32_t s1 = pack.row_begin(u + 1);
-  // Canonical lane-order row sums (score_simd.hpp): contrib_d_[s] is
-  // exactly d_init[s]·mask and contrib_i_[s] exactly i_gain[s]·inv_gap, so
-  // these reductions are bit-identical to score_batch's gathers.
-  const simd::ScoreKernels& kernels = simd::kernels();
-  double direct = pack.friend_benefit(u);
-  if (fof_[u] != 0) direct -= pack.fof_benefit(u);
-  direct += kernels.row_sum(contrib_d_.data(), s0, s1);
-  double value = weights_.direct * direct;
-  if (weights_.indirect > 0.0 && !cautious) {
-    value += weights_.indirect * kernels.row_sum(contrib_i_.data(), s0, s1);
-  }
-  return q * value;
+  return row_potential(*pack_, weights_, u, mutual_[u], active_.data(),
+                       inv_gap_.data(), simd::kernels());
+}
+
+void ScoreEngine::begin_event() {
+  pristine_ = false;
+  ++eager_round_;
+  eager_.clear();
 }
 
 void ScoreEngine::add_eager(NodeId u) {
@@ -379,40 +358,31 @@ void ScoreEngine::add_eager(NodeId u) {
 
 void ScoreEngine::apply_acceptance(
     NodeId target, const AttackerView::AcceptanceEffects& effects) {
-  const ScorePack& pack = *pack_;
-  pristine_ = false;
-  ++eager_round_;
-  eager_.clear();
+  begin_event();
   requested_[target] = 1;
+  // The new friend leaves every neighbor's P_D row (friend skip) and P_I
+  // row (requested skip).
+  active_[target] = 0.0;
+  if (maintain_indirect_) inv_gap_[target] = 0.0;
+  apply_neighborhood(effects);
+}
 
-  // (1) The new friend leaves every neighbor's P_D sum (friend skip) and
-  //     P_I sum (requested skip): zero the mirror slots of target's row.
-  {
-    const std::uint32_t s0 = pack.row_begin(target);
-    const std::uint32_t s1 = pack.row_begin(target + 1);
-    for (std::uint32_t s = s0; s < s1; ++s) {
-      const std::uint32_t m = pack.mirror(s);
-      contrib_d_[m] = 0.0;
-      if (maintain_indirect_) contrib_i_[m] = 0.0;
-      mark_dirty(pack.slot_node(s));
-    }
-  }
+void ScoreEngine::apply_revelation(
+    const AttackerView::AcceptanceEffects& effects) {
+  // The source's own deactivation ran when its acceptance was observed.
+  begin_event();
+  apply_neighborhood(effects);
+}
 
-  // (2) Nodes entering FOF: their (1 − 1_FOF) factor vanishes from every
-  //     neighbor's P_D sum, and their own head gains the −B_fof term.
-  for (const NodeId w : effects.new_fof) {
-    fof_[w] = 1;
-    mark_dirty(w);
-    const std::uint32_t s0 = pack.row_begin(w);
-    const std::uint32_t s1 = pack.row_begin(w + 1);
-    for (std::uint32_t s = s0; s < s1; ++s) {
-      contrib_d_[pack.mirror(s)] = 0.0;
-      mark_dirty(pack.slot_node(s));
-    }
-  }
+void ScoreEngine::apply_neighborhood(
+    const AttackerView::AcceptanceEffects& effects) {
+  const ScorePack& pack = *pack_;
+  // Nodes entering FOF: their (1 − 1_FOF) factor vanishes from every
+  // neighbor's P_D row; their own head gains −B_fof through mutual_ > 0.
+  for (const NodeId w : effects.new_fof) active_[w] = 0.0;
 
-  // (3) Mutual-count advances.  Only cautious users carry θ-dependent
-  //     state; the FOF consequences of a first mutual friend are case (2).
+  // Mutual-count advances.  Only cautious users carry θ-dependent state;
+  // the FOF consequences of a first mutual friend are handled above.
   for (const NodeId v : effects.mutual_increased) {
     ++mutual_[v];
     if (requested_[v] != 0 || !pack.is_cautious(v)) continue;
@@ -421,98 +391,30 @@ void ScoreEngine::apply_acceptance(
     if (m == theta) {
       // Crossed the threshold: q(v) jumps q1 → q2 (never down, q1 <= q2) —
       // re-score v eagerly; v's indirect value is spent, so it leaves its
-      // neighbors' P_I sums.
+      // neighbors' P_I rows.
       add_eager(v);
-      if (maintain_indirect_) {
-        const std::uint32_t s0 = pack.row_begin(v);
-        const std::uint32_t s1 = pack.row_begin(v + 1);
-        for (std::uint32_t s = s0; s < s1; ++s) {
-          contrib_i_[pack.mirror(s)] = 0.0;
-          mark_dirty(pack.slot_node(s));
-        }
-      }
+      if (maintain_indirect_) inv_gap_[v] = 0.0;
     } else if (m < theta && maintain_indirect_) {
       // Denominator θ_v − m shrank: every neighbor's P_I term for v grows —
-      // recompute those terms and re-score the owners eagerly.
-      const double inv_gap = 1.0 / static_cast<double>(theta - m);
-      const std::uint32_t s0 = pack.row_begin(v);
+      // re-score the owners eagerly.
+      inv_gap_[v] = 1.0 / static_cast<double>(theta - m);
       const std::uint32_t s1 = pack.row_begin(v + 1);
-      for (std::uint32_t s = s0; s < s1; ++s) {
-        const std::uint32_t ms = pack.mirror(s);
-        contrib_i_[ms] = pack.i_gain(ms) * inv_gap;
+      for (std::uint32_t s = pack.row_begin(v); s < s1; ++s) {
         add_eager(pack.slot_node(s));
       }
     }
-    // m > θ: crossed earlier — terms already zero, q already q2.
-  }
-}
-
-void ScoreEngine::apply_revelation(
-    const AttackerView::AcceptanceEffects& effects) {
-  const ScorePack& pack = *pack_;
-  pristine_ = false;
-  ++eager_round_;
-  eager_.clear();
-
-  // Cases (2) and (3) of apply_acceptance, verbatim: the revelation's
-  // new-FOF entries and mutual advances.  Case (1) — deactivating the
-  // accepted target's own slots — ran when the acceptance was observed.
-  for (const NodeId w : effects.new_fof) {
-    fof_[w] = 1;
-    mark_dirty(w);
-    const std::uint32_t s0 = pack.row_begin(w);
-    const std::uint32_t s1 = pack.row_begin(w + 1);
-    for (std::uint32_t s = s0; s < s1; ++s) {
-      contrib_d_[pack.mirror(s)] = 0.0;
-      mark_dirty(pack.slot_node(s));
-    }
-  }
-
-  for (const NodeId v : effects.mutual_increased) {
-    ++mutual_[v];
-    if (requested_[v] != 0 || !pack.is_cautious(v)) continue;
-    const std::uint32_t theta = pack.theta(v);
-    const std::uint32_t m = mutual_[v];
-    if (m == theta) {
-      add_eager(v);
-      if (maintain_indirect_) {
-        const std::uint32_t s0 = pack.row_begin(v);
-        const std::uint32_t s1 = pack.row_begin(v + 1);
-        for (std::uint32_t s = s0; s < s1; ++s) {
-          contrib_i_[pack.mirror(s)] = 0.0;
-          mark_dirty(pack.slot_node(s));
-        }
-      }
-    } else if (m < theta && maintain_indirect_) {
-      const double inv_gap = 1.0 / static_cast<double>(theta - m);
-      const std::uint32_t s0 = pack.row_begin(v);
-      const std::uint32_t s1 = pack.row_begin(v + 1);
-      for (std::uint32_t s = s0; s < s1; ++s) {
-        const std::uint32_t ms = pack.mirror(s);
-        contrib_i_[ms] = pack.i_gain(ms) * inv_gap;
-        add_eager(pack.slot_node(s));
-      }
-    }
+    // m > θ: crossed earlier — gap already zero, q already q2.
   }
 }
 
 void ScoreEngine::apply_rejection(NodeId target) {
-  const ScorePack& pack = *pack_;
-  pristine_ = false;
-  ++eager_round_;
-  eager_.clear();
+  begin_event();
   requested_[target] = 1;
   // A rejection reveals nothing, but a rejected *cautious* target can never
-  // be befriended anymore, so it leaves its neighbors' P_I sums.  (Its P_D
-  // terms stay: a rejected node can still become a believed FOF.)
-  if (maintain_indirect_ && pack.is_cautious(target)) {
-    const std::uint32_t s0 = pack.row_begin(target);
-    const std::uint32_t s1 = pack.row_begin(target + 1);
-    for (std::uint32_t s = s0; s < s1; ++s) {
-      contrib_i_[pack.mirror(s)] = 0.0;
-      mark_dirty(pack.slot_node(s));
-    }
-  }
+  // be befriended anymore, so it leaves its neighbors' P_I rows (a reckless
+  // target's gap is zero already).  Its P_D mask stays: a rejected node
+  // can still become a believed FOF.
+  if (maintain_indirect_) inv_gap_[target] = 0.0;
 }
 
 }  // namespace accu

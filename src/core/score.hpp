@@ -5,7 +5,7 @@
 // The scalar implementation in strategies/abm.cpp walks the CSR adjacency
 // through per-element accessors (`edge_belief`, `is_fof`, `is_cautious`),
 // each carrying an always-on assert and a cold indirection.  This header
-// provides the same arithmetic over contiguous arrays, in three layers:
+// provides the same arithmetic over contiguous arrays, in four layers:
 //
 //  * ScorePack — the per-instance SoA pack: edge-parallel slot arrays laid
 //    out alongside the CSR adjacency (neighbor id, mirror slot, the
@@ -16,8 +16,7 @@
 //    identity is AccuInstance::uid alone, so copies of an instance share it.
 //
 //  * BlankTables — ABM's blank-state tables over a pack: each node's
-//    canonical P_D / P_I row sums before any request, and the sparse list
-//    of slots whose blank P_I term is non-zero.  Also built once per
+//    canonical P_D / P_I row sums before any request.  Also built once per
 //    instance by the plan.
 //
 //  * score_batch — the stateless batched rescore: scores a span of
@@ -25,12 +24,13 @@
 //    view's flat spans.  The reckless fast path is a branchless
 //    multiply-mask loop that GCC/Clang can auto-vectorize.
 //
-//  * ScoreEngine — the incremental cache driving AbmStrategy: per-slot
-//    contribution arrays updated by O(1) signed deltas per acceptance
-//    effect, plus per-node dirty bits and an "eager" list (nodes whose
-//    potential may have *increased* and must be re-pushed before the next
-//    selection; everything else is refreshed lazily when it surfaces at the
-//    heap top).  DESIGN.md §11 has the staleness/restore invariants.
+//  * ScoreEngine — the incremental state driving AbmStrategy: the same two
+//    per-node tables score_batch builds (a P_D mask and the P_I reciprocal
+//    gaps), kept current by O(1) writes per acceptance effect, plus an
+//    "eager" list (nodes whose potential may have *increased* and must be
+//    re-pushed before the next selection; every other heap entry is an
+//    upper bound that ABM re-scores when it surfaces at the heap top).
+//    DESIGN.md §11 has the invariants.
 //
 // Bit-exactness.  Every result is pinned *exactly* (same doubles) to the
 // scalar reference, which works because of one structural invariant: an
@@ -38,13 +38,14 @@
 // prior p_e — an edge is only ever observed through an accepting endpoint,
 // and an accepted endpoint deactivates every term over that edge (the
 // friend skip for P_D, the requested skip for P_I).  Deactivated terms are
-// stored as exactly 0.0, and adding +0.0 into a non-negative lane
-// accumulator is an exact floating-point no-op, so reducing a row in the
-// canonical stride-4 lane order (score_simd.hpp) reproduces the scalar
-// reference's lanes bit for bit — under any ISA, batch chunking, or thread
-// count.  Property tests (tests/score_test.cpp) enforce this across random
-// instances, cautious/reckless mixes, mid-simulation states, and every
-// supported kernel ISA.
+// multiplied by an exact 0.0 per-node table entry, and adding the resulting
+// +0.0 into a non-negative lane accumulator is an exact floating-point
+// no-op, so reducing a row in the canonical stride-4 lane order
+// (score_simd.hpp) reproduces the scalar reference's lanes bit for bit —
+// under any ISA, batch chunking, or thread count.  Property tests
+// (tests/score_test.cpp) enforce this across random instances,
+// cautious/reckless mixes, mid-simulation states, and every supported
+// kernel ISA.
 //
 // Precondition: views handed to these kernels must have evolved through
 // record_acceptance/record_rejection only (every view in this codebase
@@ -162,24 +163,18 @@ class ScorePack {
   std::vector<std::uint32_t> edge_slot_;  // size E; build scratch
 };
 
-/// ABM's blank-state tables: what the incremental ScoreEngine holds right
+/// ABM's blank-state row sums: what the incremental ScoreEngine reads right
 /// after reset, before any event.  Immutable after build(); built once per
 /// instance by InstancePlan and shared by every worker.
 ///
-///  * `direct_sum[u]` / `indirect_sum[u]` are u's canonical row sums
-///    (score_simd.hpp) of the blank contribution arrays, so a blank score
-///    is O(1) per node instead of O(deg) — seed_score() uses them to seed
-///    ABM's heap (Golovin & Krause's accelerated adaptive greedy).
-///  * `indirect_slots` / `indirect_values` list, in slot order, the only
-///    slots whose blank P_I term is non-zero (slots pointing at cautious
-///    users), so ScoreEngine::reset scatters them into a zeroed array
-///    instead of dividing per slot.  Sparse on purpose: no O(slots) copy
-///    is kept.
+/// `direct_sum[u]` / `indirect_sum[u]` are u's canonical gathers
+/// (score_simd.hpp) over the blank per-node tables (mask all ones, gap 1/θ
+/// for cautious nodes), so a blank score is O(1) per node instead of
+/// O(deg) — seed_score() uses them to seed ABM's heap (Golovin & Krause's
+/// accelerated adaptive greedy).
 struct BlankTables {
   std::vector<double> direct_sum;
   std::vector<double> indirect_sum;
-  std::vector<std::uint32_t> indirect_slots;
-  std::vector<double> indirect_values;
 
   void build(const ScorePack& pack);
 
@@ -239,31 +234,32 @@ void score_batch_all(const ScorePack& pack, const AttackerView& view,
                      const PotentialWeights& weights, ScoreBatchScratch& scratch,
                      TaskPool* pool, double* out);
 
-/// Incremental potential cache for one running simulation.
+/// Incremental potential state for one running simulation.
 ///
-/// Holds each node's P_D / P_I sums as per-slot contribution arrays (so a
-/// delta touches O(1) doubles per affected slot, and a refresh re-sums the
-/// row in CSR order — which is what keeps refreshed values bit-identical to
-/// a scalar rescan).  Event handlers mirror AttackerView's acceptance
-/// effects:
+/// Holds the two per-node tables of score_batch_prepare — `active_[v]` (1.0
+/// until v is a friend or a FOF, then 0.0) and `inv_gap_[v]` (1/(θ_v − m_v)
+/// while cautious v still carries indirect value, else 0.0) — and scores a
+/// node by gathering its CSR row through them, which is what keeps every
+/// score bit-identical to a scalar rescan.  Event handlers mirror
+/// AttackerView's acceptance effects with O(1) table writes each:
 ///
-///   apply_acceptance(t): t's mirror slots leave every neighbor's P_D and
-///     P_I sums; nodes entering FOF leave their neighbors' P_D sums; mutual
-///     increases at cautious v either shrink v's neighbors' P_I
-///     denominators (potential ↑ — eager) or cross θ_v (q(v) jumps q1→q2 —
-///     eager — and v leaves its neighbors' P_I sums).
+///   apply_acceptance(t): t leaves every neighbor's P_D and P_I rows; nodes
+///     entering FOF leave their neighbors' P_D rows; mutual increases at
+///     cautious v either shrink v's gap (every neighbor's potential ↑ —
+///     eager) or cross θ_v (q(v) jumps q1→q2 — eager — and v leaves its
+///     neighbors' P_I rows).
 ///   apply_rejection(t): a rejected *cautious* t leaves its neighbors' P_I
-///     sums (reachable only under the generalized q1 > 0 model).
+///     rows (reachable only under the generalized q1 > 0 model).
 ///
-/// Every other consequence only *lowers* potentials, so affected nodes just
-/// get a dirty bit and are recomputed lazily if they ever surface at the
-/// selection heap's top — stale heap entries are upper bounds, which keeps
-/// lazy selection exactly equal to the eager reference (see DESIGN.md §11).
+/// Every other consequence only *lowers* potentials, so cached heap values
+/// of the affected nodes stay upper bounds and ABM re-scores a node only
+/// when it surfaces at the selection heap's top — which keeps lazy
+/// selection exactly equal to the eager reference (see DESIGN.md §11).
 class ScoreEngine {
  public:
   /// Arms the engine for a fresh simulation over `pack`'s instance (no
-  /// requests sent).  `blank` must be the blank-state tables of `pack`;
-  /// both must outlive the engine's use.  Capacity reuses.
+  /// requests sent) in O(n).  `blank` must be the blank-state tables of
+  /// `pack`; both must outlive the engine's use.  Capacity reuses.
   void reset(const ScorePack& pack, const BlankTables& blank,
              const PotentialWeights& weights);
 
@@ -283,20 +279,20 @@ class ScoreEngine {
     return requested_[u] != 0;
   }
 
-  /// Folds an accepted request into the caches; effects must be the ones
+  /// Folds an accepted request into the tables; effects must be the ones
   /// AttackerView::record_acceptance produced for the same event.
   void apply_acceptance(NodeId target,
                         const AttackerView::AcceptanceEffects& effects);
-  /// Folds a rejected request into the caches.
+  /// Folds a rejected request into the tables.
   void apply_rejection(NodeId target);
 
   /// Folds a late neighborhood revelation (deferred FeedbackModel) into
-  /// the caches; effects must be the ones
+  /// the tables; effects must be the ones
   /// AttackerView::deliver_next_revelation produced.  This is exactly the
   /// new_fof / mutual_increased half of apply_acceptance — the
   /// target-deactivation half already ran at acceptance time (the
   /// acceptance itself is immediate feedback in every model), which is
-  /// what keeps the engine's mirrors in lockstep with the *observed* view
+  /// what keeps the engine's tables in lockstep with the *observed* view
   /// and preserves the bit-exactness invariant: an edge is observed and
   /// its terms deactivated in the same delivery event.
   void apply_revelation(const AttackerView::AcceptanceEffects& effects);
@@ -308,24 +304,12 @@ class ScoreEngine {
     return eager_;
   }
 
-  /// Clears and returns u's dirty bit ("value may have decreased since the
-  /// last refresh").
-  bool consume_dirty(NodeId u) {
-    const bool was = dirty_[u] != 0;
-    dirty_[u] = 0;
-    return was;
-  }
-
-  [[nodiscard]] const ScorePack& pack() const {
-    ACCU_ASSERT(pack_ != nullptr);
-    return *pack_;
-  }
-
  private:
+  void begin_event();
   void add_eager(NodeId u);
-  void mark_dirty(NodeId u) {
-    if (requested_[u] == 0) dirty_[u] = 1;
-  }
+  /// The new_fof / mutual_increased half shared by acceptance and
+  /// revelation.
+  void apply_neighborhood(const AttackerView::AcceptanceEffects& effects);
 
   const ScorePack* pack_ = nullptr;
   const BlankTables* blank_ = nullptr;
@@ -333,17 +317,15 @@ class ScoreEngine {
   bool maintain_indirect_ = false;
   bool pristine_ = false;
 
-  // Per-slot live term values: exactly the scalar term while active, 0.0
-  // once deactivated.
-  std::vector<double> contrib_d_;
-  std::vector<double> contrib_i_;
+  // The per-node tables of score_batch_prepare (ScoreBatchScratch), kept
+  // current event by event; inv_gap_ is empty unless maintain_indirect_.
+  std::vector<double> active_;
+  std::vector<double> inv_gap_;
 
   // Per-node mirrors of the view state the potential reads.
   std::vector<std::uint32_t> mutual_;
-  std::vector<std::uint8_t> fof_;
   std::vector<std::uint8_t> requested_;
 
-  std::vector<std::uint8_t> dirty_;
   std::vector<NodeId> eager_;
   std::vector<std::uint32_t> eager_stamp_;  // dedup within one apply_* batch
   std::uint32_t eager_round_ = 0;

@@ -116,7 +116,6 @@ void AbmStrategy::seed_heap() {
   heap_.clear();
   for (NodeId u = 0; u < instance_->num_nodes(); ++u) {
     if (engine_.is_requested(u)) continue;  // pre-seed abandons (fault layer)
-    engine_.consume_dirty(u);
     heap_.push_back(HeapEntry{engine_.seed_score(u), u, version_[u]});
   }
   // make_heap instead of n push_heaps: pop order is unaffected (the
@@ -130,7 +129,6 @@ void AbmStrategy::heap_push(HeapEntry entry) {
 }
 
 void AbmStrategy::refresh(NodeId u) {
-  engine_.consume_dirty(u);
   ++version_[u];
   heap_push(HeapEntry{engine_.score(u), u, version_[u]});
 }
@@ -157,18 +155,17 @@ NodeId AbmStrategy::select_incremental(const AttackerView& view) {
       heap_.pop_back();
       continue;
     }
-    if (engine_.consume_dirty(top.node)) {
-      // The cached value is an upper bound (only potential-lowering events
-      // defer); recompute and re-enter the heap.  Selection stays exactly
-      // the eager policy's: see DESIGN.md §11.
-      std::pop_heap(heap_.begin(), heap_.end());
-      heap_.pop_back();
-      ++version_[top.node];
-      heap_push(HeapEntry{engine_.score(top.node), top.node,
-                          version_[top.node]});
-      continue;
-    }
-    return top.node;
+    // A live entry's cached value is an upper bound (only potential-lowering
+    // events skip the eager re-push).  Re-score it: a value that still holds
+    // is the argmax; a lower one re-enters the heap.  Selection stays
+    // exactly the eager policy's — see DESIGN.md §11.  `!(<)` stops on NaN
+    // instead of looping.
+    const double fresh = engine_.score(top.node);
+    if (!(fresh < top.value)) return top.node;
+    std::pop_heap(heap_.begin(), heap_.end());
+    heap_.pop_back();
+    ++version_[top.node];
+    heap_push(HeapEntry{fresh, top.node, version_[top.node]});
   }
   return kInvalidNode;
 }
@@ -209,9 +206,10 @@ void AbmStrategy::observe(NodeId target, bool accepted,
     engine_.apply_rejection(target);
   }
   // Nodes whose potential may have *increased* must re-enter the heap now
-  // (a stale entry would under-represent them); everything else waits for
-  // its dirty bit to surface at the heap top.  Before the first select the
-  // heap is empty and seed_heap scores from live engine state anyway.
+  // (a stale entry would under-represent them); everything else keeps an
+  // upper-bound entry that select re-scores when it surfaces at the top.
+  // Before the first select the heap is empty and seed_heap scores from
+  // live engine state anyway.
   if (heap_seeded_) {
     for (const NodeId u : engine_.pending_eager()) refresh(u);
   }

@@ -28,14 +28,16 @@
 // Complexity.  A naive implementation recomputes all n potentials (O(Σdeg))
 // every round.  ABM instead keeps a versioned max-heap of cached potentials
 // over the incremental ScoreEngine (core/score.hpp), seeded in O(n) from
-// the instance plan's blank-state tables: acceptance effects
-// apply O(1) deltas per affected CSR slot, nodes whose potential may have
-// *increased* are re-scored eagerly, and everything else carries a dirty
-// bit and is re-summed lazily only if it surfaces at the heap top.  Stale
-// heap entries are upper bounds, so the lazy pop loop returns exactly the
-// argmax the eager policy would — see DESIGN.md §11 for the argument.
-// The heap itself is compacted in place whenever stale entries outnumber
-// live candidates 4:1, bounding its size over arbitrarily long runs.
+// the instance plan's blank-state tables.  The engine's reset is O(n) and
+// each acceptance effect is an O(1) per-node table write; nodes whose
+// potential may have *increased* are re-scored eagerly, and every other
+// cached value stays an upper bound.  Selection re-scores the live heap top
+// (one O(deg) row gather): if the value still holds it is the argmax,
+// otherwise the node re-enters the heap with its fresh value — Golovin &
+// Krause's lazy evaluation, returning exactly the argmax the eager policy
+// would (DESIGN.md §11).  The heap itself is compacted in place whenever
+// stale entries outnumber live candidates 4:1, bounding its size over
+// arbitrarily long runs.
 //
 // A property test pins the incremental policy to the O(n·Σdeg) scalar
 // reference (`Config::incremental = false`) trace-for-trace, bit-exactly.

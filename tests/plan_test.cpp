@@ -5,8 +5,8 @@
 //     score + stable_sort they replaced, plan sharing across copies,
 //     concurrent first use, and resampling from the shared draw plan;
 //   * InstancePlanBlankTest — ABM's blank-state tables: the O(1) heap seed
-//     against ScoreEngine::score, the sparse P_I slot list against the
-//     per-slot loop it replaced, and ABM traces against the reference
+//     against ScoreEngine::score, the blank row sums against a direct
+//     scalar row walk, and ABM traces against the reference
 //     policy under full feedback, delayed:4 and faults;
 //   * InstancePlanCrcTest   — slicing-by-8 CRC-32 against the byte-wise
 //     reference.
@@ -417,29 +417,38 @@ TEST(InstancePlanBlankTest, SeedScoresEqualEngineScoresAfterReset) {
   }
 }
 
-TEST(InstancePlanBlankTest, SparseIndirectSlotsEqualThePerSlotLoop) {
-  // The per-slot loop ScoreEngine::reset ran before the tables existed:
-  // every slot's blank P_I term, zero unless it points at a cautious user.
+TEST(InstancePlanBlankTest, BlankSumsEqualADirectScalarRowWalk) {
+  // Each node's blank P_D / P_I row sums against a walk of its neighbor
+  // list through the instance's own accessors, in the canonical lane order
+  // (lane = slot position mod 4, combined as (l0 + l2) + (l1 + l3)):
+  // every neighbor is live, and a cautious neighbor sits at gap θ.
   for (const AccuInstance& instance :
-       {mixed(21, 12), mixed(22, 90), mixed(23, 0)}) {
-    const ScorePack& pack = instance.plan().score_pack(instance);
+       {mixed(21, 12), mixed(22, 90), mixed(23, 0), facebook(4)}) {
     const BlankTables& blank = instance.plan().blank_tables(instance);
-    std::vector<std::uint32_t> slots;
-    std::vector<double> values;
-    for (std::uint32_t s = 0; s < pack.num_slots(); ++s) {
-      const double term =
-          pack.i_gain(s) == 0.0
-              ? 0.0
-              : pack.i_gain(s) * (1.0 / static_cast<double>(pack.slot_theta(s)));
-      if (term == 0.0) continue;
-      EXPECT_TRUE(instance.is_cautious(pack.slot_node(s))) << s;
-      slots.push_back(s);
-      values.push_back(term);
-    }
-    EXPECT_EQ(blank.indirect_slots, slots);
-    EXPECT_EQ(blank.indirect_values, values);
+    const Graph& g = instance.graph();
+    const BenefitModel& benefits = instance.benefits();
     ASSERT_EQ(blank.direct_sum.size(), instance.num_nodes());
     ASSERT_EQ(blank.indirect_sum.size(), instance.num_nodes());
+    for (NodeId u = 0; u < instance.num_nodes(); ++u) {
+      double direct[4] = {0.0, 0.0, 0.0, 0.0};
+      double indirect[4] = {0.0, 0.0, 0.0, 0.0};
+      std::uint32_t pos = 0;
+      for (const graph::Neighbor& nb : g.neighbors(u)) {
+        const std::uint32_t lane = (pos++) & 3;
+        const double prior = g.edge_prob(nb.edge);
+        direct[lane] += prior * benefits.fof_benefit(nb.node);
+        if (!instance.is_cautious(nb.node)) continue;
+        indirect[lane] +=
+            (prior * benefits.upgrade_gain(nb.node)) *
+            (1.0 / static_cast<double>(instance.threshold(nb.node)));
+      }
+      EXPECT_EQ(blank.direct_sum[u],
+                (direct[0] + direct[2]) + (direct[1] + direct[3]))
+          << u;
+      EXPECT_EQ(blank.indirect_sum[u],
+                (indirect[0] + indirect[2]) + (indirect[1] + indirect[3]))
+          << u;
+    }
   }
 }
 

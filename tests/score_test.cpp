@@ -10,9 +10,10 @@
 //     random instances evolved request-by-request, all four population
 //     mixes (all-reckless, sparse-cautious, dense-cautious, generalized
 //     q1 > 0) and three weight settings.
-//   * ScoreEngineTest  — the incremental delta caches vs a scalar rescan
-//     at every step of full simulations, plus full-trace equality of the
-//     incremental ABM against the reference mode.
+//   * ScoreEngineTest  — the incremental per-node tables vs a scalar
+//     rescan at every step of full simulations, full-trace equality of the
+//     incremental ABM against the reference mode, and rescore-at-top
+//     selection of a heap top whose score an event left unchanged.
 //   * ScoreHeapTest    — the satellite-1 heap-hygiene regression: over a
 //     long adversarial run the selection heap stays within the 4x-live
 //     compaction bound instead of growing with the refresh count.
@@ -272,7 +273,7 @@ TEST(ScoreBatchTest, SubRangeMatchesFullBatch) {
 }
 
 // ---------------------------------------------------------------------------
-// ScoreEngineTest — incremental caches vs scalar rescan at every step.
+// ScoreEngineTest — incremental tables vs scalar rescan at every step.
 // ---------------------------------------------------------------------------
 
 TEST(ScoreEngineTest, IncrementalScoresMatchScalarRescanAtEveryStep) {
@@ -379,6 +380,53 @@ TEST(ScoreEngineTest, IncrementalAbmTraceEqualsReferenceMode) {
       }
       EXPECT_EQ(a.total_benefit, b.total_benefit) << mix.label;
     }
+  }
+}
+
+TEST(ScoreEngineTest, TouchedButUnchangedTopIsSelectedWithoutRepush) {
+  // Star t = 0 with leaves 1..6 and w = 7 (priors 1); star u = 8 with
+  // leaves 9..13 (priors 1) and the edge u–w at prior 0.  Blank potentials
+  // (all reckless, q = 1, B_f = 2, B_fof = 1): t 9, u 7, every other node
+  // 3.  Accepting t makes w a FOF, an event on one of u's slots that leaves
+  // u's potential unchanged (the term is 0 · B_fof).  u is then the heap
+  // top, re-scores to its cached value and must be selected as it is.
+  graph::GraphBuilder b(14);
+  for (NodeId leaf = 1; leaf <= 7; ++leaf) b.add_edge(0, leaf, 1.0);
+  for (NodeId leaf = 9; leaf <= 13; ++leaf) b.add_edge(8, leaf, 1.0);
+  b.add_edge(8, 7, 0.0);
+  const AccuInstance instance(b.build(),
+                              std::vector<UserClass>(14, UserClass::kReckless),
+                              std::vector<double>(14, 1.0),
+                              std::vector<std::uint32_t>(14, 1),
+                              BenefitModel::uniform(14, 2.0, 1.0));
+  const Realization truth = Realization::certain(instance);
+  for (const PotentialWeights& weights : kWeightSettings) {
+    AbmStrategy strategy(weights.direct, weights.indirect);
+    util::Rng rng(3);
+    strategy.reset(instance, rng);
+    AttackerView view(instance);
+    ASSERT_EQ(strategy.select(view, rng), 0u);
+    const AttackerView::AcceptanceEffects effects =
+        view.record_acceptance(0, truth);
+    ASSERT_NE(std::find(effects.new_fof.begin(), effects.new_fof.end(), 7u),
+              effects.new_fof.end());
+    strategy.observe(0, true, view, &effects);
+    const std::size_t before = strategy.heap_size();
+    EXPECT_EQ(strategy.select(view, rng), 8u);
+    // Only t's stale entry leaves the heap; u is not re-pushed.
+    EXPECT_EQ(strategy.heap_size(), before - 1) << weights.indirect;
+
+    AbmStrategy incremental(weights.direct, weights.indirect);
+    AbmStrategy reference = make_scalar(weights);
+    util::Rng rng_a(5), rng_b(5);
+    const SimulationResult a =
+        simulate(instance, truth, incremental, 14, rng_a);
+    const SimulationResult c = simulate(instance, truth, reference, 14, rng_b);
+    ASSERT_EQ(a.trace.size(), c.trace.size());
+    for (std::size_t i = 0; i < a.trace.size(); ++i) {
+      EXPECT_EQ(a.trace[i].target, c.trace[i].target) << "@" << i;
+    }
+    EXPECT_EQ(a.total_benefit, c.total_benefit);
   }
 }
 

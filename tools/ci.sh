@@ -26,7 +26,7 @@
 #      concurrency-heavy suites (experiment pool, watchdog, checkpoint
 #      appends, cancellation, serve journal/daemon, intra-cell task pool,
 #      concurrent first use of the per-instance plan)
-#   8. forced-ISA dispatch              — the Score suites re-run under
+#   8. forced-ISA dispatch              — the score suites re-run under
 #      every kernel table the host supports (ACCU_SIMD=scalar/avx2/neon),
 #      in the plain, ASan, and TSan trees: every dispatch tail must be
 #      bit-identical and sanitizer-clean, not just the auto pick
@@ -95,19 +95,22 @@ echo "=== bench trend vs committed BENCH_micro_core.json ==="
 ./build-ci/tools/accu_bench_diff BENCH_micro_core.json \
   build-ci/BENCH_micro_core.json --threshold=2.0
 
-echo "=== forced-ISA dispatch: Score suites under every kernel table ==="
+echo "=== forced-ISA dispatch: score suites under every kernel table ==="
 # The determinism contract (score_simd.hpp) says every dispatch tail is
-# bit-identical; re-run the score/kernel suites with each supported table
-# forced via ACCU_SIMD, in the plain and ASan trees.
+# bit-identical; re-run the suites whose results go through the kernels
+# (score kernels, the incremental engine and blank-state tables, deferred
+# feedback, engine equivalence) with each supported table forced via
+# ACCU_SIMD, in the plain and ASan trees.
+ISA_SUITES='Score|InstancePlanBlank|Feedback|EngineEquivalence'
 ISAS="scalar"
 if grep -q avx2 /proc/cpuinfo 2> /dev/null; then ISAS="${ISAS} avx2"; fi
 case "$(uname -m)" in aarch64 | arm64) ISAS="${ISAS} neon" ;; esac
 for ISA in ${ISAS}; do
   echo "--- ACCU_SIMD=${ISA} (plain + ASan) ---"
   ACCU_SIMD="${ISA}" ctest --test-dir build-ci --output-on-failure \
-    -j "${JOBS}" --timeout 300 -R 'Score'
+    -j "${JOBS}" --timeout 300 -R "${ISA_SUITES}"
   ACCU_SIMD="${ISA}" ctest --test-dir build-ci-san --output-on-failure \
-    -j "${JOBS}" --timeout 300 -R 'Score'
+    -j "${JOBS}" --timeout 300 -R "${ISA_SUITES}"
 done
 
 echo "=== shard → kill → resume → merge round-trip ==="
@@ -268,7 +271,7 @@ ctest --test-dir build-ci-tsan --output-on-failure -j "${JOBS}" --timeout 300 \
 for ISA in ${ISAS}; do
   echo "--- ACCU_SIMD=${ISA} (TSan) ---"
   ACCU_SIMD="${ISA}" ctest --test-dir build-ci-tsan --output-on-failure \
-    -j "${JOBS}" --timeout 300 -R 'Score'
+    -j "${JOBS}" --timeout 300 -R "${ISA_SUITES}"
 done
 
 echo "=== -march=native build (RelWithDebInfo, ACCU_NATIVE) ==="
